@@ -773,6 +773,9 @@ void run_campaign_acceptance(JsonSink& json) {
     auto paced = config_of(kill_dir);
     paced.unit_delay_ms = 15;
     paced.resume = after_first_kill > 0;
+    // Flush stdio first, or the child would print the parent's buffered
+    // report lines a second time, interleaved with the parent's output.
+    std::fflush(nullptr);
     const pid_t pid = ::fork();
     if (pid == 0) {
       try {
@@ -1200,6 +1203,92 @@ void run_batch_acceptance(std::size_t jobs, JsonSink& json) {
   json.add("ext_a13_forced_scalar_identical", scalar_identical);
 }
 
+// EXT-A14 — the grown charge/share prefix (DESIGN.md §9). The flow's
+// transient step restarts at the base step after every stimulus corner of
+// steps 1-4 and doubles up to msu::kPrefixStepCap base steps; the
+// conversion window stays at the base step. At 16x16 (the EXT-A13 array,
+// the array command's default shape) the grown schedule must take >= 4x
+// fewer accepted transient steps than the fixed 20 ps step, with every
+// code within one of a converged 5 ps fixed-step reference. How many cells
+// each schedule puts off that reference is reported alongside.
+void run_prefix_growth_acceptance(std::size_t jobs, JsonSink& json) {
+  std::printf("EXT-A14: grown charge/share prefix vs fixed step, 16x16\n\n");
+  report::Experiment exp("EXT-A14",
+                         "grown prefix step count + accuracy vs 5 ps");
+  const edram::MacroCell big = varied_array64().tile(16, 16, 16, 16);
+
+  auto run = [&](double dt, double cap, double& seconds) {
+    extraction::ExtractRequest req;
+    req.engine = extraction::Engine::kCircuit;
+    req.jobs = jobs;
+    req.options.dt = dt;
+    req.options.adaptive.enabled = true;
+    req.options.prefix_step_cap = cap;
+    const auto t0 = std::chrono::steady_clock::now();
+    extraction::ExtractReport rep = extraction::extract(big, req);
+    seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    return rep;
+  };
+  double t_ref = 0.0, t_fixed = 0.0, t_grown = 0.0;
+  const auto ref = run(5e-12, 1.0, t_ref);
+  const auto fixed = run(20e-12, 1.0, t_fixed);
+  const auto grown = run(20e-12, msu::kPrefixStepCap, t_grown);
+
+  auto off_ref = [&](const extraction::ExtractReport& rep, int& worst) {
+    std::size_t off = 0;
+    worst = 0;
+    const auto& want = ref.bitmap.codes();
+    const auto& got = rep.bitmap.codes();
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      off += got[i] != want[i];
+      worst = std::max(worst, std::abs(got[i] - want[i]));
+    }
+    return off;
+  };
+  int worst_fixed = 0, worst_grown = 0;
+  const std::size_t off_fixed = off_ref(fixed, worst_fixed);
+  const std::size_t off_grown = off_ref(grown, worst_grown);
+  const std::size_t steps_fixed = fixed.telemetry.transient_steps;
+  const std::size_t steps_grown = grown.telemetry.transient_steps;
+  const double ratio = steps_grown > 0
+                           ? static_cast<double>(steps_fixed) /
+                                 static_cast<double>(steps_grown)
+                           : 0.0;
+  std::printf("  5 ps reference : %8.3f s  (%zu steps)\n", t_ref,
+              ref.telemetry.transient_steps);
+  std::printf("  fixed 20 ps    : %8.3f s  (%zu steps, %zu prefix, %zu/%zu "
+              "cells off the reference)\n",
+              t_fixed, steps_fixed, fixed.telemetry.prefix_steps, off_fixed,
+              big.cell_count());
+  std::printf("  grown 20 ps    : %8.3f s  (%zu steps, %zu prefix, %zu/%zu "
+              "cells off the reference)\n\n",
+              t_grown, steps_grown, grown.telemetry.prefix_steps, off_grown,
+              big.cell_count());
+  exp.check("grown charge/share prefix cuts transient steps >= 4x at 16x16 "
+            "with codes within one of the 5 ps reference",
+            Table::num(static_cast<long long>(steps_fixed)) + " -> " +
+                Table::num(static_cast<long long>(steps_grown)) + " (" +
+                Table::num(ratio, 2) + "x), worst " +
+                std::to_string(worst_grown) + " code off",
+            ratio >= 4.0 && worst_grown <= 1);
+  exp.note(std::to_string(off_grown) + " cells off the 5 ps reference "
+           "grown vs " + std::to_string(off_fixed) + " at the fixed 20 ps "
+           "step (worst " + std::to_string(worst_fixed) + ")");
+  std::cout << exp << '\n';
+
+  json.add("ext_a14_cells", static_cast<long long>(big.cell_count()));
+  json.add("ext_a14_steps_fixed", static_cast<long long>(steps_fixed));
+  json.add("ext_a14_steps_grown", static_cast<long long>(steps_grown));
+  json.add("ext_a14_step_ratio", ratio);
+  json.add("ext_a14_fixed_s", t_fixed);
+  json.add("ext_a14_grown_s", t_grown);
+  json.add("ext_a14_off_ref_fixed", static_cast<long long>(off_fixed));
+  json.add("ext_a14_off_ref_grown", static_cast<long long>(off_grown));
+  json.add("ext_a14_worst_grown", static_cast<long long>(worst_grown));
+}
+
 void BM_CircuitExtractionBySize(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto mc = edram::MacroCell::uniform({.rows = n, .cols = n},
@@ -1237,7 +1326,7 @@ void BM_TiledBitmap64Parallel(benchmark::State& state) {
 BENCHMARK(BM_TiledBitmap64Parallel)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-// Consumes "--jobs N" (thread count for EXT-A6/A8/A9, default 8), "--json
+// Consumes "--jobs N" (thread count for EXT-A6/A8/A9/A14, default 8), "--json
 // FILE" (acceptance-number artifact) and "--solver-json FILE" (the EXT-A9
 // BENCH_solver.json baseline) before the remaining flags go to the
 // benchmark library.
@@ -1284,6 +1373,7 @@ int main(int argc, char** argv) {
   run_campaign_acceptance(json);
   run_serve_acceptance(jobs, json);
   run_batch_acceptance(jobs, json);
+  run_prefix_growth_acceptance(jobs, json);
   if (!json_path.empty()) {
     if (json.write(json_path)) {
       std::printf("acceptance numbers written to %s\n", json_path.c_str());

@@ -31,12 +31,17 @@ void render_waveforms(const msu::ExtractionResult& res, double cm_fF) {
   opts.x_label = "time (ns)";
   LinePlot plot(opts);
   const auto& tr = res.trace;
+  // Resampled on a uniform grid: the solver's time points are not (the
+  // charge/share prefix step grows between control edges).
+  constexpr std::size_t kPoints = 320;
+  const double t_end = tr.times().back();
   std::vector<double> t_ns, plate, vgs, out;
-  for (std::size_t i = 0; i < tr.sample_count(); i += 8) {
-    t_ns.push_back(to_unit::ns(tr.times()[i]));
-    plate.push_back(tr.channel("plate")[i]);
-    vgs.push_back(tr.channel("msu_vgs")[i]);
-    out.push_back(tr.channel("msu_out")[i]);
+  for (std::size_t i = 0; i <= kPoints; ++i) {
+    const double t = t_end * static_cast<double>(i) / kPoints;
+    t_ns.push_back(to_unit::ns(t));
+    plate.push_back(tr.value_at("plate", t));
+    vgs.push_back(tr.value_at("msu_vgs", t));
+    out.push_back(tr.value_at("msu_out", t));
   }
   plot.add_series("V(plate)", t_ns, plate);
   plot.add_series("V_GS (REF gate)", t_ns, vgs);

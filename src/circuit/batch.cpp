@@ -24,7 +24,7 @@ BatchEngine::BatchEngine(std::span<Circuit* const> lanes, const Options& opts)
                "batch engine needs a program cache: without one, resumed "
                "scalar segments re-pivot per segment and the lockstep run "
                "could not be bit-identical to them");
-  ECMS_REQUIRE(opts_.dt > 0.0, "batch engine needs a positive base step");
+  ECMS_REQUIRE(opts_.step.dt > 0.0, "batch engine needs a positive base step");
 
   // One reset up front so a reused arena starts a fresh generation before
   // any engine carves from it (and so util.arena.resets reflects the batch).
@@ -66,6 +66,7 @@ BatchEngine::BatchEngine(std::span<Circuit* const> lanes, const Options& opts)
     for (const auto& d : lane.ckt->devices()) d->init_state(ctx);
   }
   force_be_ = opts_.be_after_breakpoint;  // first step from t = 0 uses BE
+  dt_ = opts_.step.dt;
   ECMS_METRIC_COUNT("circuit.batch.lanes", lanes.size());
 }
 
@@ -168,17 +169,18 @@ void BatchEngine::advance(
     if (bps[next_bp] >= t_ - kTimeEps) start_on_bp = true;
     ++next_bp;
   }
+  const StepSchedule& sched = opts_.step;
   if (!first_advance_ && start_on_bp) {
     // transient_resume applies breakpoint handling when it starts on a
     // corner (the uninterrupted run saw it when landing here).
     force_be_ = opts_.be_after_breakpoint;
+    dt_ = sched.dt;
   }
 
+  // Never halved: any lane needing a halving retires.
   double t = t_;
-  const double dt = opts_.dt;  // fixed: any lane needing a halving retires
-
   while (t < t_stop - kTimeEps) {
-    double step = std::min(dt, t_stop - t);
+    double step = std::min(sched.step_from(t, dt_), t_stop - t);
     bool hits_bp = false;
     if (next_bp < bps.size() && t + step >= bps[next_bp] - kTimeEps) {
       step = bps[next_bp] - t;
@@ -224,8 +226,10 @@ void BatchEngine::advance(
     if (hits_bp) {
       ++next_bp;
       force_be_ = opts_.be_after_breakpoint;
+      dt_ = sched.dt;
     } else {
       force_be_ = false;
+      dt_ = sched.grow(t, dt_);
     }
   }
 

@@ -12,10 +12,11 @@
 // path, so tape divergence detection, static-image reuse and program-cache
 // accounting are inherited rather than re-implemented.
 //
-// Identity: with a fixed base step (no adaptive growth) and no rejected
-// steps, run_transient's schedule is value-independent — time points are a
-// pure function of (dt, breakpoints) — so lanes genuinely share one (t,
-// step, force_be) sequence. Per-lane Newton damping and convergence
+// Identity: with no rejected steps, run_transient's StepSchedule is
+// value-independent — time points are a pure function of (dt, growth
+// window, cap, breakpoints) — so lanes genuinely share one (t, step,
+// force_be) sequence, and advance() steps it through the same StepSchedule
+// calls as the scalar transient. Per-lane Newton damping and convergence
 // decisions are scalar replicas of newton_solve_impl over the SoA results.
 // Anything that would make a lane's scalar trajectory diverge from the
 // lockstep grid (a rejected step, pivot degradation, a non-finite update,
@@ -47,7 +48,8 @@ namespace ecms::circuit {
 class BatchEngine {
  public:
   struct Options {
-    double dt = 20e-12;                  ///< fixed base step (never halved)
+    /// Step rule; the base step is never halved.
+    StepSchedule step = {.dt = 20e-12};
     Integrator method = Integrator::kTrapezoidal;
     NewtonOptions newton;                ///< solver.program_cache required
     bool be_after_breakpoint = true;
@@ -106,9 +108,11 @@ class BatchEngine {
 
   /// Advances every active lane in lockstep to t_stop, replicating
   /// run_transient's stepping (breakpoint landing, post-breakpoint backward
-  /// Euler, fixed base step). `on_sample(lane, t, x)` fires per active lane
-  /// once at entry — the boundary sample a resumed scalar segment records —
-  /// and once per accepted step. Lanes that cannot keep lockstep are
+  /// Euler, the StepSchedule; the running step size carries across calls
+  /// as a checkpoint carries it across transient_resume).
+  /// `on_sample(lane, t, x)` fires per active lane once at entry — the
+  /// boundary sample a resumed scalar segment records — and once per
+  /// accepted step. Lanes that cannot keep lockstep are
   /// retired, never stalled.
   void advance(double t_stop,
                const std::function<void(std::size_t, double,
@@ -153,6 +157,7 @@ class BatchEngine {
   // SoA kernel operands, [slot * width + lane].
   util::ArenaBuf<double> a_soa_, l_soa_, u_soa_, work_soa_, pb_soa_;
   double t_ = 0.0;
+  double dt_ = 0.0;  ///< running step size
   bool force_be_ = true;
   bool first_advance_ = true;
 };

@@ -15,6 +15,15 @@ namespace {
 constexpr double kTimeEps = 1e-18;
 }
 
+double StepSchedule::max_step(double t) const {
+  return t < grow_until - kTimeEps ? std::max(grow_cap, 1.0) * dt : dt;
+}
+
+double StepSchedule::step_from(double t, double cur) const {
+  if (t >= grow_until - kTimeEps) return cur;
+  return std::min(cur, std::max(grow_until - t, dt));
+}
+
 namespace {
 // Counts one finished transient (successful or not) into the registry.
 void count_transient(const TranStats& stats, bool failed) {
@@ -73,8 +82,9 @@ TranResult run_transient(Circuit& ckt, const TranParams& params,
   TranResult res;
   res.trace = Trace(channel_names);
 
+  const StepSchedule sched = params.schedule();
   std::vector<double> x;
-  double dt = params.dt;
+  double dt = sched.dt;  // running step size
   bool force_be = params.be_after_breakpoint;  // first step from DC uses BE
   if (resume) {
     ECMS_REQUIRE(resume->x.size() == ckt.unknown_count(),
@@ -89,8 +99,7 @@ TranResult run_transient(Circuit& ckt, const TranParams& params,
       off += d->restore_state(blob.subspan(off));
     }
     ECMS_REQUIRE(off == blob.size(), "checkpoint device state size mismatch");
-    if (resume->dt > 0.0) dt = resume->dt;
-    if (!params.adaptive) dt = std::min(dt, params.dt);
+    if (resume->dt > 0.0) dt = std::min(resume->dt, sched.max_step(t_start));
     force_be = resume->force_be;
     ECMS_METRIC_COUNT("circuit.transient.resumes", 1);
   } else {
@@ -123,7 +132,7 @@ TranResult run_transient(Circuit& ckt, const TranParams& params,
   };
   record(t_start, x);
 
-  std::vector<double> bps = ckt.breakpoints(params.t_stop);
+  const std::vector<double> bps = ckt.breakpoints(params.t_stop);
   std::size_t next_bp = 0;
   bool start_on_bp = false;
   while (next_bp < bps.size() && bps[next_bp] <= t_start + kTimeEps) {
@@ -137,11 +146,11 @@ TranResult run_transient(Circuit& ckt, const TranParams& params,
     // a new corner at the checkpoint time. Apply it now so the first resumed
     // step matches the uninterrupted one.
     force_be = params.be_after_breakpoint;
-    if (params.adaptive) dt = params.dt;
+    dt = sched.dt;
   }
 
-  // Arm the checkpoint capture: a mid-run capture time becomes a breakpoint
-  // so an accepted step lands exactly on it.
+  // Arm the checkpoint capture. A mid-run capture time is a landing target,
+  // not a breakpoint: growth and the integrator carry on through it.
   double ckpt_at = params.checkpoint_at;
   const bool want_ckpt = ckpt_at >= 0.0;
   bool captured = false;
@@ -152,15 +161,6 @@ TranResult run_transient(Circuit& ckt, const TranParams& params,
     if (ckpt_at <= t_start + kTimeEps) {
       capture_checkpoint(ckt, t_start, dt, force_be, x, res.checkpoint);
       captured = true;
-    } else if (ckpt_at < params.t_stop - kTimeEps) {
-      const auto it =
-          std::lower_bound(bps.begin() + static_cast<std::ptrdiff_t>(next_bp),
-                           bps.end(), ckpt_at);
-      const bool present =
-          (it != bps.end() && *it - ckpt_at <= kTimeEps) ||
-          (it != bps.begin() + static_cast<std::ptrdiff_t>(next_bp) &&
-           ckpt_at - *(it - 1) <= kTimeEps);
-      if (!present) bps.insert(it, ckpt_at);
     }
   }
 
@@ -178,7 +178,7 @@ TranResult run_transient(Circuit& ckt, const TranParams& params,
   std::vector<double> x_try;
 
   while (t < params.t_stop - kTimeEps) {
-    double step = std::min(dt, params.t_stop - t);
+    double step = std::min(sched.step_from(t, dt), params.t_stop - t);
     // Land exactly on the next breakpoint.
     bool hits_bp = false;
     if (next_bp < bps.size() && t + step >= bps[next_bp] - kTimeEps) {
@@ -188,6 +188,12 @@ TranResult run_transient(Circuit& ckt, const TranParams& params,
         ++next_bp;
         continue;
       }
+    }
+    // Land exactly on a pending capture time; a step that reaches it
+    // anyway is left untouched, so on-grid captures cost nothing.
+    if (want_ckpt && !captured && t + step > ckpt_at + kTimeEps) {
+      step = ckpt_at - t;
+      hits_bp = false;
     }
 
     StampContext ctx;
@@ -246,25 +252,16 @@ TranResult run_transient(Circuit& ckt, const TranParams& params,
     ++res.stats.accepted_steps;
     record(t, x);
 
+    // Restart at the base step after a stimulus corner; otherwise double
+    // (which is also the geometric recovery after halvings).
     if (hits_bp) {
       ++next_bp;
       force_be = params.be_after_breakpoint;
-      if (params.adaptive) dt = params.dt;  // restart cautiously after edges
+      dt = sched.dt;
     } else {
       force_be = false;
+      dt = sched.grow(t, dt);
     }
-    // Geometric recovery toward the base step after halvings; with adaptive
-    // stepping, easy regions (few Newton iterations) may grow past it.
-    const double dt_cap =
-        params.adaptive
-            ? (params.dt_max > 0.0 ? params.dt_max : 8.0 * params.dt)
-            : params.dt;
-    if (params.adaptive && nr.iterations <= 3) {
-      dt = std::min(dt_cap, dt * 1.5);
-    } else if (dt < dt_cap) {
-      dt = std::min(dt_cap, dt * 2.0);
-    }
-    if (!params.adaptive) dt = std::min(dt, params.dt);
 
     // Capture after step control settles, so the checkpoint holds exactly
     // the state the next loop iteration of an uninterrupted run would see.

@@ -1,11 +1,13 @@
 // Transient analysis.
 //
-// Fixed base step with: breakpoint alignment (steps land exactly on every
-// stimulus corner), step halving on Newton failure with geometric recovery,
-// and a backward-Euler step immediately after each breakpoint to damp
-// trapezoidal ringing at discontinuities.
+// Step sizes follow a StepSchedule — a base step, optionally grown
+// geometrically inside a leading time window — with: breakpoint alignment
+// (steps land exactly on every stimulus corner), step halving on Newton
+// failure with geometric recovery, and a backward-Euler step immediately
+// after each breakpoint to damp trapezoidal ringing at discontinuities.
 #pragma once
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -36,6 +38,31 @@ struct SolverCheckpoint {
   bool valid() const { return time >= 0.0 && !x.empty(); }
 };
 
+/// The step-size rule shared by run_transient and the lockstep BatchEngine
+/// (DESIGN.md §9). Inside the growth window [0, grow_until) the step
+/// restarts at `dt` after every stimulus breakpoint and doubles on each
+/// accepted step up to `grow_cap` base steps; from the window end on it
+/// holds `dt`. It reads only `dt`, the breakpoints, the window and the cap,
+/// never solution values, so circuits with equal stimulus timing step on
+/// one time grid whatever their element values. A Newton failure halves
+/// the step (leaving the grid); accepted steps double it back.
+struct StepSchedule {
+  double dt = 10e-12;       ///< base step
+  double grow_until = 0.0;  ///< growth window end (s); 0 = never grow
+  double grow_cap = 1.0;    ///< largest grown step, in base steps
+
+  /// Largest step the schedule allows from time t.
+  double max_step(double t) const;
+  /// Size of the step from t, given the running step size `cur`: a grown
+  /// step never crosses the window end.
+  double step_from(double t, double cur) const;
+  /// Running step size after an accepted step that ended at t on no
+  /// breakpoint (after a breakpoint it restarts at `dt`).
+  double grow(double t, double cur) const {
+    return std::min(2.0 * cur, max_step(t));
+  }
+};
+
 struct TranParams {
   double t_stop = 0.0;
   double dt = 10e-12;          ///< base step
@@ -49,17 +76,20 @@ struct TranParams {
   /// it avoids the DC ambiguity of floating dynamic nodes (which otherwise
   /// settle in a leakage/gmin divider).
   bool uic = false;
-  /// Opt-in step growth: when Newton converges in few iterations the step
-  /// may grow up to dt_max (still clipped to every stimulus breakpoint).
-  /// Off by default so result timing is bit-stable for calibration.
-  bool adaptive = false;
-  double dt_max = 0.0;  ///< cap for adaptive growth; 0 = 8x the base step
+  /// Step growth window and cap (see StepSchedule); the defaults keep the
+  /// fixed base step.
+  double grow_until = 0.0;
+  double grow_cap = 1.0;
   /// When >= 0, capture a SolverCheckpoint into TranResult::checkpoint at
-  /// this time (clamped to t_stop). A mid-run capture time is added to the
-  /// breakpoint set so a step lands exactly on it; times that already sit on
-  /// a stimulus corner (or on t_stop) therefore leave the trajectory
-  /// untouched. Negative (the default) disables capture.
+  /// this time (clamped to t_stop). The step that would cross a mid-run
+  /// capture time is shortened to land exactly on it, but the landing is
+  /// not a breakpoint: it neither forces backward Euler nor restarts step
+  /// growth. Capture times on the run's own grid (a stimulus corner, t_stop
+  /// or any accepted time point) therefore leave the trajectory untouched.
+  /// Negative (the default) disables capture.
   double checkpoint_at = -1.0;
+
+  StepSchedule schedule() const { return {dt, grow_until, grow_cap}; }
 };
 
 /// What to record. Node and device probes are looked up by name at start.
@@ -97,8 +127,9 @@ TranResult transient(Circuit& ckt, const TranParams& params,
 /// `params.checkpoint_at` may be set to capture again. Source waves may have
 /// been reprogrammed since capture — stepping follows the circuit's current
 /// breakpoints — but the topology (unknown and device counts) must be
-/// unchanged, which is validated. An uninterrupted run and a
-/// capture-at-breakpoint + resume pair take bit-identical steps.
+/// unchanged, which is validated. An uninterrupted run and a capture +
+/// resume pair take bit-identical steps when the capture time lies on the
+/// uninterrupted run's grid (a breakpoint or any accepted time point).
 TranResult transient_resume(Circuit& ckt, const SolverCheckpoint& from,
                             const TranParams& params, const ProbeSet& probes);
 

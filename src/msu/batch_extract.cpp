@@ -153,18 +153,19 @@ RobustExtraction extract_array_batched(const edram::MacroCell& mc,
     }
 
     if (!lane_ckts.empty()) {
+      // The measurement schedule is a pure function of (timing, delta_i,
+      // params); every cell of the chunk shares it.
+      const Schedule& sch = slots[lane_slot[0]].res.schedule;
+
+      // The scalar flow's step rule (extract.cpp flow_params); method /
+      // be_after_breakpoint keep the TranParams defaults it uses too.
       circuit::BatchEngine::Options bo;
-      bo.dt = opts.dt;
-      bo.newton = opts.newton;  // method / be_after_breakpoint: TranParams
-                                // defaults, as the scalar flow uses
+      bo.step = {opts.dt, sch.t_ramp_start, opts.prefix_step_cap};
+      bo.newton = opts.newton;
       circuit::BatchEngine eng(
           std::span<circuit::Circuit* const>(lane_ckts.data(),
                                              lane_ckts.size()),
           bo);
-
-      // The measurement schedule is a pure function of (timing, delta_i,
-      // params); every cell of the chunk shares it.
-      const Schedule& sch = slots[lane_slot[0]].res.schedule;
 
       auto sample5 = [&](std::size_t lane, double t,
                          std::span<const double> x) {

@@ -18,6 +18,21 @@ namespace ecms::msu {
 
 namespace {
 
+// Transient parameters of the measurement flow up to `t_stop`: UIC start
+// (the flow's own step 1 establishes the real initial state) and the step
+// grown through the charge/share prefix.
+circuit::TranParams flow_params(const Schedule& s,
+                                const ExtractOptions& options, double t_stop) {
+  circuit::TranParams tp;
+  tp.t_stop = t_stop;
+  tp.dt = options.dt;
+  tp.grow_until = s.t_ramp_start;
+  tp.grow_cap = options.prefix_step_cap;
+  tp.newton = options.newton;
+  tp.uic = true;
+  return tp;
+}
+
 // Accepted steps recorded in `trace` up to and including time `t` (the
 // t = 0 sample is not a step). Valid because the solver records exactly one
 // sample per accepted step.
@@ -45,11 +60,7 @@ bool try_adaptive(circuit::Circuit& ckt, const edram::MacroCell& mc,
   const double vdd = mc.tech().vdd;
 
   // Steps 1-4 once, snapshotting the solver where the ramp would begin.
-  circuit::TranParams tp;
-  tp.t_stop = s.t_ramp_start;
-  tp.dt = options.dt;
-  tp.newton = options.newton;
-  tp.uic = true;
+  circuit::TranParams tp = flow_params(s, options, s.t_ramp_start);
   tp.checkpoint_at = s.t_ramp_start;
   circuit::ProbeSet probes;
   probes.nodes = {"plate", "msu_vgs", "msu_sense", "msu_out"};
@@ -214,11 +225,8 @@ ExtractionResult extract_cell(const edram::MacroCell& mc, std::size_t row,
     res.prefix_steps = 0;
   }
 
-  circuit::TranParams tp;
-  tp.t_stop = res.schedule.t_end;
-  tp.dt = options.dt;
-  tp.newton = options.newton;
-  tp.uic = true;  // the flow's own step 1 establishes the real initial state
+  const circuit::TranParams tp =
+      flow_params(res.schedule, options, res.schedule.t_end);
 
   circuit::ProbeSet probes;
   probes.nodes = {"plate", "msu_vgs", "msu_sense", "msu_out"};

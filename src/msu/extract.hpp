@@ -20,6 +20,17 @@
 
 namespace ecms::msu {
 
+/// Largest transient step through the flow's charge/share prefix (steps
+/// 1-4), in base steps. Derivation: the slowest prefix settling is the
+/// plate charging through PRG in step 2, tau ~ 350 ps (1/e of its 1.8 V
+/// swing, measured at a 5 ps fixed step for Cm = 10-55 fF; the step-4
+/// charge sharing settles with tau ~ 50-470 ps). The cap is the largest
+/// power of two whose step stays within tau at the default 20 ps base
+/// step: 16 x 20 ps = 320 ps, so h / tau <= 1 on the dominant pole. Growth
+/// restarts at every control edge, so the cap is reached only after the
+/// 1 + 2 + 4 + 8 = 15 base steps (300 ps) that resolve the edge itself.
+inline constexpr double kPrefixStepCap = 16.0;
+
 struct ExtractOptions {
   double dt = 20e-12;  ///< transient base step
   /// Record full waveforms (plate, V_GS, sense, OUT, I_REFP) in the result.
@@ -41,6 +52,10 @@ struct ExtractOptions {
   /// way (the scheduler falls back to the exhaustive ramp whenever its
   /// monotonicity assumptions cannot be trusted).
   AdaptiveOptions adaptive = {};
+  /// Step-growth cap through the charge/share prefix, in base steps; the
+  /// conversion window always runs at `dt`. 1 = the fixed-step schedule,
+  /// for reference runs.
+  double prefix_step_cap = kPrefixStepCap;
 };
 
 struct ExtractionResult {

@@ -1,6 +1,7 @@
 #include "util/arena.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
@@ -17,10 +18,17 @@ std::byte* Arena::allocate(std::size_t bytes, std::size_t align) {
   if (bytes == 0) bytes = 1;  // distinct non-null result, keeps spans simple
   if (blocks_.empty()) grow(std::max(bytes + align, kMinBlockBytes));
 
-  std::size_t off = (cursor_ + align - 1) & ~(align - 1);
+  // Align the absolute address: a block is only guaranteed the alignment
+  // of operator new[], which can be less than `align`.
+  auto aligned_offset = [&] {
+    const auto base =
+        reinterpret_cast<std::uintptr_t>(blocks_.back().data.get());
+    return ((base + cursor_ + align - 1) & ~(align - 1)) - base;
+  };
+  std::size_t off = aligned_offset();
   if (off + bytes > blocks_.back().size) {
-    grow(bytes + align);
-    off = (cursor_ + align - 1) & ~(align - 1);
+    grow(bytes + align);  // padding is below `align`, so the carve fits
+    off = aligned_offset();
   }
   cursor_ = off + bytes;
   in_use_ += bytes;

@@ -60,7 +60,7 @@ class Arena {
 
   /// Bytes owned across all blocks.
   std::size_t capacity() const;
-  /// Bytes carved since the last reset (alignment padding included).
+  /// Bytes carved since the last reset (alignment padding not counted).
   std::size_t bytes_in_use() const { return in_use_; }
   std::uint64_t resets() const { return resets_; }
 

@@ -5,6 +5,7 @@
 // msu/ relies on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "circuit/netlist.hpp"
@@ -151,35 +152,35 @@ TEST(CheckpointT, ResumeValidatesCircuitShape) {
   EXPECT_THROW(transient_resume(c, invalid, cont, probes), Error);
 }
 
-TEST(CheckpointT, MeasurementFlowSplitsAtRampStartBitExact) {
-  // The real workload: the five-step measurement flow on a 2x2 macro-cell,
-  // split at the end of step 4 (charge sharing done, ramp not started).
+// The five-step measurement flow on a 2x2 macro-cell, programmed into `ckt`.
+msu::Schedule build_flow(Circuit& ckt) {
   const edram::MacroCell mc = edram::MacroCell::uniform(
       {.rows = 2, .cols = 2}, tech::tech018(), 30e-15);
   const msu::StructureParams sp;
-  const msu::MeasurementTiming timing;
+  const edram::ArrayNet array = edram::build_array(ckt, mc);
+  const msu::StructureNet msu_net =
+      build_structure(ckt, array.plate, mc.tech(), sp);
+  return msu::program_measurement(ckt, array, msu_net, mc, 0, 0,
+                                  /*delta_i=*/1e-6, sp, {});
+}
 
-  auto build = [&](Circuit& ckt, double delta_i) {
-    const edram::ArrayNet array = edram::build_array(ckt, mc);
-    const msu::StructureNet msu_net =
-        build_structure(ckt, array.plate, mc.tech(), sp);
-    return msu::program_measurement(ckt, array, msu_net, mc, 0, 0, delta_i,
-                                    sp, timing);
-  };
-  const double delta_i = 1e-6;
-
+TEST(CheckpointT, MeasurementFlowSplitsAtRampStartBitExact) {
+  // The real workload, split at the end of step 4 (charge sharing done,
+  // ramp not started), with the prefix step grown as the flow grows it.
   Circuit full_ckt;
-  const msu::Schedule sched = build(full_ckt, delta_i);
+  const msu::Schedule sched = build_flow(full_ckt);
   TranParams tp;
   tp.t_stop = sched.t_end;
   tp.dt = 20e-12;
   tp.uic = true;
+  tp.grow_until = sched.t_ramp_start;
+  tp.grow_cap = msu::kPrefixStepCap;
   const ProbeSet probes{.nodes = {"plate", "msu_vgs", "msu_out"},
                         .device_currents = {}};
   const TranResult full = transient(full_ckt, tp, probes);
 
   Circuit split_ckt;
-  build(split_ckt, delta_i);
+  build_flow(split_ckt);
   TranParams prefix = tp;
   prefix.t_stop = sched.t_ramp_start;
   prefix.checkpoint_at = sched.t_ramp_start;
@@ -190,6 +191,60 @@ TEST(CheckpointT, MeasurementFlowSplitsAtRampStartBitExact) {
   expect_identical_from(full.trace, post.trace, "msu_out",
                         sched.t_ramp_start);
   expect_identical_from(full.trace, post.trace, "plate", sched.t_ramp_start);
+}
+
+TEST(CheckpointT, MidPrefixCaptureNeitherRestartsGrowthNorMovesTheGrid) {
+  // The flow's grown charge/share prefix, captured mid-step-3 (isolate)
+  // at a time that is no stimulus corner.
+  Circuit full_ckt;
+  const msu::Schedule sched = build_flow(full_ckt);
+  TranParams tp;
+  tp.t_stop = sched.t_end;
+  tp.dt = 20e-12;
+  tp.uic = true;
+  tp.grow_until = sched.t_ramp_start;
+  tp.grow_cap = msu::kPrefixStepCap;
+  const ProbeSet probes{.nodes = {"plate", "msu_vgs", "msu_out"},
+                        .device_currents = {}};
+  const TranResult full = transient(full_ckt, tp, probes);
+  const auto& ft = full.trace.times();
+  const double t_grid =
+      *std::lower_bound(ft.begin(), ft.end(), 0.5 * (sched.t_charge_end +
+                                                     sched.t_share));
+
+  // On the run's own grid: the capturing run takes the uninterrupted
+  // run's steps, and resuming from the capture reproduces it bit-exactly.
+  Circuit cap_ckt;
+  build_flow(cap_ckt);
+  TranParams capture = tp;
+  capture.checkpoint_at = t_grid;
+  const TranResult pre = transient(cap_ckt, capture, probes);
+  ASSERT_TRUE(pre.checkpoint.valid());
+  EXPECT_EQ(pre.checkpoint.time, t_grid);
+  EXPECT_GT(pre.checkpoint.dt, tp.dt);  // captured mid-growth
+  expect_identical_from(full.trace, pre.trace, "plate", 0.0);
+  const TranResult post =
+      transient_resume(cap_ckt, pre.checkpoint, tp, probes);
+  expect_identical_from(full.trace, post.trace, "msu_out", t_grid);
+  expect_identical_from(full.trace, post.trace, "msu_vgs", t_grid);
+  ASSERT_EQ(full.final_x.size(), post.final_x.size());
+  for (std::size_t i = 0; i < full.final_x.size(); ++i)
+    EXPECT_EQ(full.final_x[i], post.final_x[i]) << "unknown " << i;
+
+  // Off the grid: the capture splits one step but does not restart growth
+  // (a restart would cost about four extra steps at the 16x cap).
+  Circuit off_ckt;
+  build_flow(off_ckt);
+  TranParams off = tp;
+  off.checkpoint_at = t_grid + 0.3 * tp.dt;
+  const TranResult split = transient(off_ckt, off, probes);
+  ASSERT_TRUE(split.checkpoint.valid());
+  EXPECT_NEAR(split.checkpoint.time, off.checkpoint_at, 1e-18);
+  EXPECT_LE(split.stats.accepted_steps, full.stats.accepted_steps + 1);
+  const TranResult rest =
+      transient_resume(off_ckt, split.checkpoint, tp, probes);
+  expect_identical_from(split.trace, rest.trace, "msu_out",
+                        split.checkpoint.time);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Exercises the solver's fallback and recovery paths explicitly: gmin /
-// source stepping in DC, step halving and adaptive growth in transient,
-// and singular-system reporting.
+// source stepping in DC, step halving and scheduled step growth in
+// transient, and singular-system reporting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "circuit/dc.hpp"
@@ -70,7 +71,7 @@ TEST(SolverPaths, StepHalvingOnSharpEdge) {
 }
 
 TEST(SolverPaths, AdaptiveGrowthReducesSteps) {
-  auto run = [&](bool adaptive) {
+  auto run = [&](double grow_cap) {
     Circuit c;
     c.add_vsource("V1", c.node("in"), kGround,
                   SourceWave::pwl({{0.0, 0.0}, {1e-9, 1.0}}));
@@ -79,16 +80,52 @@ TEST(SolverPaths, AdaptiveGrowthReducesSteps) {
     TranParams tp;
     tp.t_stop = 100e-9;
     tp.dt = 50e-12;
-    tp.adaptive = adaptive;
+    tp.grow_until = tp.t_stop;
+    tp.grow_cap = grow_cap;
     return transient(c, tp, {.nodes = {"out"}, .device_currents = {}});
   };
-  const auto fixed = run(false);
-  const auto adaptive = run(true);
-  EXPECT_LT(adaptive.stats.accepted_steps, fixed.stats.accepted_steps / 2);
+  const auto fixed = run(1.0);
+  const auto grown = run(8.0);
+  EXPECT_LT(grown.stats.accepted_steps, fixed.stats.accepted_steps / 2);
   // Accuracy preserved at the checked points (tau = 1 ns, settled by 10 ns).
-  EXPECT_NEAR(adaptive.trace.final_value("out"), 1.0, 1e-3);
-  EXPECT_NEAR(adaptive.trace.value_at("out", 3e-9),
+  EXPECT_NEAR(grown.trace.final_value("out"), 1.0, 1e-3);
+  EXPECT_NEAR(grown.trace.value_at("out", 3e-9),
               fixed.trace.value_at("out", 3e-9), 0.02);
+}
+
+TEST(SolverPaths, GrowthRestartsAtBreakpointsAndStopsAtWindowEnd) {
+  // Corners at 0, 1 ns and 10 ns; growth window [0, 6 ns), cap 4x.
+  Circuit c;
+  c.add_vsource("V1", c.node("in"), kGround,
+                SourceWave::pwl({{0.0, 0.0}, {1e-9, 1.0}, {10e-9, 1.0}}));
+  c.add_resistor("R1", c.node("in"), c.node("out"), 1_kOhm);
+  c.add_capacitor("C1", c.node("out"), kGround, 1e-12);
+  TranParams tp;
+  tp.t_stop = 12e-9;
+  tp.dt = 50e-12;
+  tp.grow_until = 6e-9;
+  tp.grow_cap = 4.0;
+  const auto res = transient(c, tp, {.nodes = {"out"}, .device_currents = {}});
+  const auto& ts = res.trace.times();
+  double widest = 0.0;
+  for (std::size_t i = 1; i < ts.size(); ++i) {
+    const double h = ts[i] - ts[i - 1];
+    widest = std::max(widest, h);
+    if (ts[i - 1] >= 6e-9 - 1e-15) {
+      EXPECT_LE(h, tp.dt * (1 + 1e-9)) << "grown step at t=" << ts[i - 1];
+    }
+  }
+  EXPECT_NEAR(widest, 4.0 * tp.dt, 1e-15);
+  // The window end is landed on, and growth restarts at the 1 ns corner.
+  auto sample_at = [&](double t) {
+    return std::find_if(ts.begin(), ts.end(),
+                        [&](double s) { return std::abs(s - t) < 1e-15; });
+  };
+  EXPECT_NE(sample_at(6e-9), ts.end());
+  const auto corner = sample_at(1e-9);
+  ASSERT_NE(corner, ts.end());
+  EXPECT_NEAR(*(corner + 1) - *corner, tp.dt, 1e-15);
+  EXPECT_NEAR(*(corner + 2) - *(corner + 1), 2.0 * tp.dt, 1e-15);
 }
 
 TEST(SolverPaths, AdaptiveStillHitsBreakpoints) {
@@ -104,7 +141,8 @@ TEST(SolverPaths, AdaptiveStillHitsBreakpoints) {
   TranParams tp;
   tp.t_stop = 100e-9;
   tp.dt = 50e-12;
-  tp.adaptive = true;
+  tp.grow_until = tp.t_stop;
+  tp.grow_cap = 8.0;
   const auto res = transient(c, tp, {.nodes = {"out"}, .device_currents = {}});
   // The pulse must be fully resolved despite large steps in between.
   EXPECT_NEAR(res.trace.value_at("out", 50e-9), 1.0, 1e-3);
