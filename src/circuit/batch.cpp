@@ -107,7 +107,6 @@ void BatchEngine::flush_counters(Lane& lane) {
       (eng ? eng->numeric_factorizations() : 0) + lane.vector_refactors;
   ECMS_METRIC_COUNT("circuit.newton.solves", lane.points);
   ECMS_METRIC_COUNT("circuit.newton.iterations", lane.iters);
-  ECMS_METRIC_COUNT("circuit.newton.factorizations", sym + num);
   ECMS_METRIC_COUNT("circuit.lu.symbolic", sym);
   ECMS_METRIC_COUNT("circuit.lu.numeric", num);
   ECMS_METRIC_COUNT("circuit.assemble.static_hits",

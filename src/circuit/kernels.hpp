@@ -17,7 +17,7 @@
 // but the same function computed 1 lane at a time.
 //
 // Dispatch: resolved once at first use from the host CPU (AVX2 on x86-64,
-// NEON on aarch64, scalar otherwise), overridable for tests and benches via
+// scalar otherwise), overridable for tests and benches via
 // set_force_scalar() or the ECMS_FORCE_SCALAR_KERNELS environment variable
 // (any non-empty value other than "0").
 #pragma once
@@ -31,7 +31,7 @@ namespace ecms::circuit::kernels {
 
 /// One kernel backend. All array arguments are SoA unless noted.
 struct Kernels {
-  const char* name;  ///< "scalar", "avx2", "neon"
+  const char* name;  ///< "scalar", "avx2"
 
   /// Numeric refactorization of all `width` lanes over the frozen pivot
   /// order: per permuted row, scatter A, eliminate against finished rows in

@@ -10,12 +10,11 @@
 namespace ecms::circuit {
 
 void assemble(const Circuit& ckt, const StampContext& ctx, double gmin_ground,
-              Matrix& a_mat, std::span<double> b) {
+              Matrix& a_mat, std::vector<double>& b) {
   const std::size_t n = ckt.unknown_count();
-  ECMS_REQUIRE(b.size() == n, "assemble: rhs has wrong size");
   if (a_mat.rows() != n) a_mat.resize(n, n);
   a_mat.clear();
-  std::fill(b.begin(), b.end(), 0.0);
+  b.assign(n, 0.0);
   MnaView view(a_mat);
   for (const auto& d : ckt.devices()) {
     d->stamp_static(ctx, view, b);
@@ -26,26 +25,14 @@ void assemble(const Circuit& ckt, const StampContext& ctx, double gmin_ground,
   for (std::size_t i = 0; i < nv; ++i) a_mat.at(i, i) += gmin_ground;
 }
 
-void assemble(const Circuit& ckt, const StampContext& ctx, double gmin_ground,
-              Matrix& a_mat, std::vector<double>& b_vec) {
-  b_vec.resize(ckt.unknown_count());
-  assemble(ckt, ctx, gmin_ground, a_mat, std::span<double>(b_vec));
-}
-
 namespace {
 
 // Per-solve outcome accounting, shared by every return path of
-// newton_solve_impl. With symbolic/numeric factorization reuse on the
-// sparse backend, factorizations no longer equal iterations: the legacy
-// factorizations counter reports the sum of the real symbolic and numeric
-// counts (which on the dense backend still equals the iteration count —
-// one numeric factorization per iteration).
+// newton_solve_impl.
 void count_solve(const NewtonResult& res) {
   if (!obs::metrics_enabled()) return;
   ECMS_METRIC_COUNT("circuit.newton.solves", 1);
   ECMS_METRIC_COUNT("circuit.newton.iterations", res.iterations);
-  ECMS_METRIC_COUNT("circuit.newton.factorizations",
-                    res.symbolic_factorizations + res.numeric_factorizations);
   ECMS_METRIC_COUNT("circuit.lu.symbolic", res.symbolic_factorizations);
   ECMS_METRIC_COUNT("circuit.lu.numeric", res.numeric_factorizations);
   ECMS_METRIC_COUNT("circuit.assemble.static_hits", res.assemble_static_hits);
@@ -66,25 +53,23 @@ NewtonResult newton_solve_impl(const Circuit& ckt,
   const std::size_t nv = ckt.node_count() - 1;
 
   ws.prepare(ckt, opts.solver);
-  SparseEngine* eng = ws.sparse();
+  SparseEngine& eng = *ws.sparse();
   NewtonResult res;
   // Engine counters are cumulative across the workspace lifetime; snapshot
   // them so the result reports this solve's share.
-  const std::uint64_t sym0 = eng ? eng->symbolic_factorizations() : 0;
-  const std::uint64_t num0 = eng ? eng->numeric_factorizations() : 0;
-  const std::uint64_t hit0 = eng ? eng->static_hits() : 0;
-  const std::uint64_t rst0 = eng ? eng->static_restamps() : 0;
+  const std::uint64_t sym0 = eng.symbolic_factorizations();
+  const std::uint64_t num0 = eng.numeric_factorizations();
+  const std::uint64_t hit0 = eng.static_hits();
+  const std::uint64_t rst0 = eng.static_restamps();
   auto finalize = [&]() {
-    if (eng != nullptr) {
-      res.symbolic_factorizations +=
-          static_cast<int>(eng->symbolic_factorizations() - sym0);
-      res.numeric_factorizations +=
-          static_cast<int>(eng->numeric_factorizations() - num0);
-      res.assemble_static_hits =
-          static_cast<std::size_t>(eng->static_hits() - hit0);
-      res.assemble_restamps =
-          static_cast<std::size_t>(eng->static_restamps() - rst0);
-    }
+    res.symbolic_factorizations =
+        static_cast<int>(eng.symbolic_factorizations() - sym0);
+    res.numeric_factorizations =
+        static_cast<int>(eng.numeric_factorizations() - num0);
+    res.assemble_static_hits =
+        static_cast<std::size_t>(eng.static_hits() - hit0);
+    res.assemble_restamps =
+        static_cast<std::size_t>(eng.static_restamps() - rst0);
     return res;
   };
 
@@ -94,47 +79,25 @@ NewtonResult newton_solve_impl(const Circuit& ckt,
     return finalize();
   }
 
-  if (eng != nullptr) eng->begin_point();
+  eng.begin_point();
 
   for (int iter = 0; iter < opts.max_iterations; ++iter) {
     StampContext ctx = ctx_proto;
     ctx.x = x;
-    bool singular = false;
-    if (eng == nullptr) {
-      assemble(ckt, ctx, opts.gmin_ground, ws.a_dense, ws.b.span());
-      if (opts.hooks != nullptr && opts.hooks->make_singular &&
-          opts.hooks->make_singular(ctx, opts)) {
-        for (std::size_t j = 0; j < n; ++j) ws.a_dense.at(0, j) = 0.0;
-      }
-      ++res.numeric_factorizations;  // dense: one per iteration, by design
-      try {
-        ws.lu_dense.refactor(ws.a_dense);
-      } catch (const SolverError&) {
-        singular = true;
-      }
-      if (!singular) {
-        ws.x_new.copy_from(ws.b.span());
-        ws.lu_dense.solve_in_place(ws.x_new.span(), ws.scratch);
-      }
-    } else {
-      eng->assemble(ckt, ctx, opts.gmin_ground);
-      if (opts.hooks != nullptr && opts.hooks->make_singular &&
-          opts.hooks->make_singular(ctx, opts)) {
-        eng->zero_row(0);
-      }
-      try {
-        eng->factor();
-      } catch (const SolverError&) {
-        singular = true;
-      }
-      if (!singular) eng->solve(ws.x_new.span());
+    eng.assemble(ckt, ctx, opts.gmin_ground);
+    if (opts.hooks != nullptr && opts.hooks->make_singular &&
+        opts.hooks->make_singular(ctx, opts)) {
+      eng.zero_row(0);
     }
-    if (singular) {
+    try {
+      eng.factor();
+    } catch (const SolverError&) {
       res.converged = false;
       res.singular = true;
       res.iterations = iter + 1;
       return finalize();
     }
+    eng.solve(ws.x_new.span());
     const std::span<const double> x_new(ws.x_new.span());
 
     // Voltage-part damping: clamp the update so no node moves more than

@@ -7,36 +7,6 @@
 
 namespace ecms::circuit {
 
-const char* solver_kind_name(SolverKind k) {
-  switch (k) {
-    case SolverKind::kDense:
-      return "dense";
-    case SolverKind::kSparse:
-      return "sparse";
-    case SolverKind::kAuto:
-      return "auto";
-  }
-  return "?";
-}
-
-bool parse_solver_kind(std::string_view s, SolverKind& out) {
-  if (s == "dense") {
-    out = SolverKind::kDense;
-  } else if (s == "sparse") {
-    out = SolverKind::kSparse;
-  } else if (s == "auto") {
-    out = SolverKind::kAuto;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-SolverKind resolve_solver_kind(const SolverConfig& cfg, std::size_t n) {
-  if (cfg.kind != SolverKind::kAuto) return cfg.kind;
-  return n >= cfg.sparse_crossover ? SolverKind::kSparse : SolverKind::kDense;
-}
-
 void SparseEngine::add(std::size_t row, std::size_t col, double v) {
   // Record pass only: replayed assemblies go through the inline ReplayTape
   // view (device.hpp), never this virtual sink.
@@ -126,6 +96,14 @@ void SparseEngine::discover(const Circuit& ckt, const StampContext& ctx,
     diag_slots_.resize(nv_);
     for (std::size_t i = 0; i < nv_; ++i) diag_slots_[i] = mat_.slot(i, i);
   }
+  // A seeded pivot order (a checkpoint's) overrides both a fresh Markowitz
+  // analysis and the adopted program's order: the resumed run must factor
+  // exactly as the run that took the checkpoint did.
+  if (seed_ != nullptr && seed_->n == n_ &&
+      seed_->a_slot.size() == mat_.nnz()) {
+    lu_.adopt_symbolic(seed_);
+  }
+  seed_.reset();
 
   // Build the static image and this iterate's working values from the
   // recorded stamps (same accumulation order as the replay path).
@@ -278,28 +256,17 @@ void SparseEngine::zero_row(std::size_t r) {
 
 void NewtonWorkspace::prepare(const Circuit& ckt, const SolverConfig& cfg) {
   const std::size_t n = ckt.unknown_count();
-  const SolverKind want = resolve_solver_kind(cfg, n);
-  if (bound_ && n == bound_n_ && want == active_ &&
-      cfg.program_cache == bound_cache_) {
-    return;
-  }
+  if (bound_ && n == bound_n_ && cfg.program_cache == bound_cache_) return;
   bound_ = true;
   bound_n_ = n;
-  active_ = want;
   bound_cache_ = cfg.program_cache;
   // Recycle all arena-backed scratch before re-carving: the engine must go
   // first (its buffers point into the arena being reset).
   sparse_.reset();
   arena_.reset();
-  b.bind(&arena_);
   x_new.bind(&arena_);
-  b.resize(n);
   x_new.resize(n);
-  if (want == SolverKind::kSparse) {
-    sparse_ = std::make_unique<SparseEngine>(n, cfg.program_cache, &arena_);
-  } else {
-    lu_dense = LuFactorization{};
-  }
+  sparse_ = std::make_unique<SparseEngine>(n, cfg.program_cache, &arena_);
 }
 
 }  // namespace ecms::circuit

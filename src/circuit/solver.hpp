@@ -1,21 +1,18 @@
-// Linear-solver backend selection and per-solve workspaces.
+// Linear-solver workspaces for newton_solve.
 //
 // newton_solve reduces every (time) point to repeated solves of the stamped
-// MNA system. Two backends implement that step:
+// MNA system on one backend: sparse.hpp's CSR matrix + Markowitz LU with
+// symbolic reuse, fed by a stamp-slot cache and a static/dynamic assembly
+// split (SparseEngine below). matrix.hpp's dense Matrix + LuFactorization
+// remain for small-signal analysis (ac.hpp) and as a test oracle.
 //
-//   dense  — matrix.hpp's Matrix + LuFactorization, byte-for-byte the seed
-//            arithmetic. Best below the crossover (small cells).
-//   sparse — sparse.hpp's CSR matrix + Markowitz LU with symbolic reuse,
-//            fed by a stamp-slot cache and a static/dynamic assembly split
-//            (SparseEngine below). Wins from array-scale netlists up.
-//
-// A NewtonWorkspace owns whichever backend is active plus the iteration
-// buffers, and lives for one transient()/dc_operating_point() call: one
-// workspace per solve means one per thread under parallel extraction. The
-// topology-dependent halves of the sparse caches are shared across
-// workspaces through a ProgramCache (program.hpp): the per-engine state
-// shrinks to values and cursors, and per-solve scratch is carved from the
-// workspace's bump arena instead of the heap.
+// A NewtonWorkspace owns the engine plus the iteration buffers, and lives
+// for one transient()/dc_operating_point() call: one workspace per solve
+// means one per thread under parallel extraction. The topology-dependent
+// halves of the engine's caches are shared across workspaces through a
+// ProgramCache (program.hpp): the per-engine state shrinks to values and
+// cursors, and per-solve scratch is carved from the workspace's bump arena
+// instead of the heap.
 #pragma once
 
 #include <cstddef>
@@ -23,10 +20,8 @@
 #include <limits>
 #include <memory>
 #include <span>
-#include <string_view>
 #include <vector>
 
-#include "circuit/matrix.hpp"
 #include "circuit/netlist.hpp"
 #include "circuit/program.hpp"
 #include "circuit/sparse.hpp"
@@ -34,38 +29,14 @@
 
 namespace ecms::circuit {
 
-enum class SolverKind { kDense, kSparse, kAuto };
-
-const char* solver_kind_name(SolverKind k);
-
-/// Parses "dense" | "sparse" | "auto"; returns false on anything else.
-bool parse_solver_kind(std::string_view s, SolverKind& out);
-
 struct SolverConfig {
-  SolverKind kind = SolverKind::kAuto;
-  /// kAuto switches to the sparse backend at or above this many unknowns.
-  /// EXT-A9 (bench_array_scale) shows the stamp-slot tapes and the
-  /// static/dynamic split win from ~28 unknowns up, but the crossover is
-  /// deliberately higher: the sparse pivot order is frozen from the values
-  /// the engine factors first, so a transient split at a checkpoint can
-  /// differ from the uninterrupted run in the last ulp — and the
-  /// checkpoint / adaptive-ramp flows, whose tile circuits all sit below
-  /// 64 unknowns, contractually require bit-exact resume. Dense re-pivots
-  /// every iteration and is immune. Above macro-cell scale nothing relies
-  /// on bit-exact splits and the sparse backend wins outright. (Program
-  /// sharing narrows the checkpoint hazard — a resumed run adopts the same
-  /// pivot order the uninterrupted run used — but the dense guarantee is
-  /// unconditional, so the crossover stays.)
-  std::size_t sparse_crossover = 64;
-  /// Shared topology-program registry for the sparse backend; the default
-  /// is the process-wide cache, so repeated and parallel solves of the
-  /// same netlist shape reuse one symbolic factorization. Set to nullptr
-  /// to force every engine to compile privately (A/B accounting, tests).
+  /// Shared topology-program registry; the default is the process-wide
+  /// cache, so repeated and parallel solves of the same netlist shape reuse
+  /// one symbolic factorization. Set to nullptr to force every engine to
+  /// compile privately (A/B accounting, tests). A speed cache only: codes
+  /// are bit-identical either way.
   ProgramCache* program_cache = &ProgramCache::global();
 };
-
-/// The backend kAuto resolves to for an n-unknown system (never kAuto).
-SolverKind resolve_solver_kind(const SolverConfig& cfg, std::size_t n);
 
 /// Sparse assembly + factorization engine for one circuit and one solve
 /// mode. Holds three caches, all established on the first assembly:
@@ -85,6 +56,12 @@ SolverKind resolve_solver_kind(const SolverConfig& cfg, std::size_t n);
 /// (pattern + slots + LU symbolic, skipping the Markowitz analysis
 /// entirely) or compiles privately and publishes after the first clean
 /// full factorization. Reported as circuit.program.{hits,misses,builds}.
+///
+/// The pivot order is the one piece of engine state derived from values (a
+/// full factorization pivots on the numbers it sees). A checkpoint carries
+/// it (pivot_order()), and a resumed engine is seeded with it
+/// (seed_pivot_order()), so a resumed run refactors exactly as the
+/// uninterrupted one would, with or without the cache.
 ///
 /// If a device ever emits a different stamp sequence (e.g. the netlist was
 /// reconfigured between solves), the replay detects the divergence via the
@@ -123,8 +100,8 @@ class SparseEngine final : public StampSink {
 
   /// Zeroes row r of the assembled matrix (fault-injection hook support);
   /// forces a full factorization so the singular system is detected
-  /// deterministically, as on the dense path. The result of that forced
-  /// factorization is never published to the program cache.
+  /// deterministically. The result of that forced factorization is never
+  /// published to the program cache.
   void zero_row(std::size_t r);
 
   std::span<const double> rhs() const { return b_work_.span(); }
@@ -136,6 +113,20 @@ class SparseEngine final : public StampSink {
   /// ride the vector kernels or must solve through this engine directly.
   const std::shared_ptr<const LuSymbolic>& lu_symbolic() const {
     return lu_.symbolic();
+  }
+
+  /// Seeds the pivot order the next discovery adopts in place of a fresh
+  /// Markowitz analysis (and of an adopted program's order). Used once, and
+  /// only when it fits the discovered pattern (same unknown and slot
+  /// counts); otherwise the engine takes its normal path.
+  void seed_pivot_order(std::shared_ptr<const LuSymbolic> order) {
+    seed_ = std::move(order);
+  }
+
+  /// The pivot order a checkpoint taken now must carry: the one this engine
+  /// factors with, or a seed it has not adopted yet (null when neither).
+  const std::shared_ptr<const LuSymbolic>& pivot_order() const {
+    return lu_.has_symbolic() ? lu_.symbolic() : seed_;
   }
 
   /// The shared program this engine adopted or published (null when the
@@ -190,45 +181,37 @@ class SparseEngine final : public StampSink {
   SparseLu lu_;
   ProgramCache* cache_ = nullptr;
   std::shared_ptr<const NetlistProgram> program_;
+  std::shared_ptr<const LuSymbolic> seed_;
   std::uint64_t program_key_ = 0;
   bool publish_pending_ = false;
   std::uint64_t symbolic_ = 0, numeric_ = 0;
   std::uint64_t static_hits_ = 0, static_restamps_ = 0;
 };
 
-/// Per-solve scratch owned by the caller of newton_solve: the assembled
-/// system, the factorization and the iteration buffers are allocated once
-/// per transient/DC solve instead of once per Newton iteration, and the
-/// flat double buffers are carved from a bump arena that prepare() recycles
-/// on every rebind (util.arena.{bytes,resets}). The members are working
-/// storage for the solver implementation (and tests); treat them as opaque
-/// elsewhere. Single-threaded by design — parallel extraction gives each
-/// worker its own workspace.
+/// Per-solve scratch owned by the caller of newton_solve: the engine, the
+/// factorization and the iteration buffers are allocated once per
+/// transient/DC solve instead of once per Newton iteration, and the flat
+/// double buffers are carved from a bump arena that prepare() recycles on
+/// every rebind (util.arena.{bytes,resets}). Single-threaded by design —
+/// parallel extraction gives each worker its own workspace.
 class NewtonWorkspace {
  public:
   NewtonWorkspace() = default;
 
-  /// Binds to a circuit + backend choice; re-binding to a different unknown
-  /// count, resolved backend, or program cache resets the cached state and
-  /// recycles the arena. newton_solve calls this itself — explicit calls
-  /// are allowed but not required.
+  /// Binds to a circuit; re-binding to a different unknown count or program
+  /// cache resets the cached state and recycles the arena. newton_solve
+  /// calls this itself — explicit calls are allowed but not required.
   void prepare(const Circuit& ckt, const SolverConfig& cfg);
 
-  /// Resolved backend of the last prepare() (never kAuto).
-  SolverKind active() const { return active_; }
+  /// The bound engine (null before the first prepare()).
   SparseEngine* sparse() { return sparse_.get(); }
   util::Arena& arena() { return arena_; }
 
-  // Dense-backend state and shared iteration buffers.
-  Matrix a_dense;
-  LuFactorization lu_dense;
-  util::ArenaBuf<double> b;
+  /// Newton's solution buffer.
   util::ArenaBuf<double> x_new;
-  std::vector<double> scratch;
 
  private:
   util::Arena arena_;
-  SolverKind active_ = SolverKind::kDense;
   std::size_t bound_n_ = std::numeric_limits<std::size_t>::max();
   ProgramCache* bound_cache_ = nullptr;
   bool bound_ = false;

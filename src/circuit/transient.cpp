@@ -35,7 +35,8 @@ void count_transient(const TranStats& stats, bool failed) {
 }
 
 void capture_checkpoint(const Circuit& ckt, double t, double dt, bool force_be,
-                        const std::vector<double>& x, SolverCheckpoint& out) {
+                        const std::vector<double>& x,
+                        const SparseEngine& eng, SolverCheckpoint& out) {
   out.time = t;
   out.dt = dt;
   out.force_be = force_be;
@@ -43,6 +44,7 @@ void capture_checkpoint(const Circuit& ckt, double t, double dt, bool force_be,
   out.device_state.clear();
   for (const auto& d : ckt.devices()) d->save_state(out.device_state);
   out.device_count = ckt.devices().size();
+  out.pivot_order = eng.pivot_order();
 }
 
 // Shared integration core. A fresh run (`resume == nullptr`) initializes
@@ -149,6 +151,16 @@ TranResult run_transient(Circuit& ckt, const TranParams& params,
     dt = sched.dt;
   }
 
+  // One workspace for the whole run: buffers and the frozen pattern /
+  // stamp-slot caches persist across every step and Newton iteration of
+  // this transient. Owned here, not shared — parallel extraction runs one
+  // transient per worker, so workspaces stay per-thread. A resumed run
+  // factors with the checkpoint's pivot order.
+  NewtonWorkspace ws;
+  ws.prepare(ckt, params.newton.solver);
+  SparseEngine& eng = *ws.sparse();
+  if (resume) eng.seed_pivot_order(resume->pivot_order);
+
   // Arm the checkpoint capture. A mid-run capture time is a landing target,
   // not a breakpoint: growth and the integrator carry on through it.
   double ckpt_at = params.checkpoint_at;
@@ -159,19 +171,13 @@ TranResult run_transient(Circuit& ckt, const TranParams& params,
     ECMS_REQUIRE(ckpt_at > t_start - kTimeEps,
                  "checkpoint_at lies before the start of this run");
     if (ckpt_at <= t_start + kTimeEps) {
-      capture_checkpoint(ckt, t_start, dt, force_be, x, res.checkpoint);
+      capture_checkpoint(ckt, t_start, dt, force_be, x, eng, res.checkpoint);
       captured = true;
     }
   }
 
   double t = t_start;
 
-  // One workspace for the whole run: buffers and (on the sparse backend)
-  // the frozen pattern / stamp-slot caches persist across every step and
-  // Newton iteration of this transient. Owned here, not shared — parallel
-  // extraction runs one transient per worker, so workspaces stay
-  // per-thread.
-  NewtonWorkspace ws;
   // Trial iterate, hoisted out of the step loop: the copy below reuses its
   // capacity (the accept path swaps rather than moves), so steady-state
   // stepping does no per-step allocation.
@@ -266,13 +272,13 @@ TranResult run_transient(Circuit& ckt, const TranParams& params,
     // Capture after step control settles, so the checkpoint holds exactly
     // the state the next loop iteration of an uninterrupted run would see.
     if (want_ckpt && !captured && t >= ckpt_at - kTimeEps) {
-      capture_checkpoint(ckt, t, dt, force_be, x, res.checkpoint);
+      capture_checkpoint(ckt, t, dt, force_be, x, eng, res.checkpoint);
       captured = true;
     }
   }
 
   if (want_ckpt && !captured) {
-    capture_checkpoint(ckt, t, dt, force_be, x, res.checkpoint);
+    capture_checkpoint(ckt, t, dt, force_be, x, eng, res.checkpoint);
   }
 
   res.final_x = std::move(x);

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,12 @@ struct SolverCheckpoint {
   std::vector<double> x;             ///< unknown vector at `time`
   std::vector<double> device_state;  ///< concatenated Device::save_state blobs
   std::size_t device_count = 0;
+  /// The pivot order the run was factoring with at `time` (shared and
+  /// immutable; null if none was computed yet). The one piece of solver
+  /// state derived from values: a resumed run factors with it, so it
+  /// refactors exactly as the uninterrupted run, with or without the
+  /// program cache.
+  std::shared_ptr<const LuSymbolic> pivot_order;
 
   bool valid() const { return time >= 0.0 && !x.empty(); }
 };

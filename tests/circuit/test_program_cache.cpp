@@ -22,9 +22,8 @@
 namespace ecms::circuit {
 namespace {
 
-SolverConfig sparse_with(ProgramCache* cache) {
+SolverConfig cached_by(ProgramCache* cache) {
   SolverConfig cfg;
-  cfg.kind = SolverKind::kSparse;
   cfg.program_cache = cache;
   return cfg;
 }
@@ -124,7 +123,7 @@ TEST(ProgramCacheT, SecondWorkspaceAdoptsThePublishedProgram) {
   c.finalize();
   ProgramCache cache;
   NewtonOptions opts;
-  opts.solver = sparse_with(&cache);
+  opts.solver = cached_by(&cache);
 
   NewtonWorkspace ws1;
   const auto [sym1, num1] = run_points(c, opts, ws1, 3);
@@ -153,7 +152,7 @@ TEST(ProgramCacheT, DistinctTopologiesAtEqualSizesGetDistinctPrograms) {
 
   ProgramCache cache;
   NewtonOptions opts;
-  opts.solver = sparse_with(&cache);
+  opts.solver = cached_by(&cache);
   NewtonWorkspace ws1, ws2;
   const auto [sym_p, num_p] = run_points(plain, opts, ws1, 2);
   const auto [sym_x, num_x] = run_points(crossed, opts, ws2, 2);
@@ -173,7 +172,7 @@ TEST(ProgramCacheT, HashCollisionDegradesToPrivateCompileNotWrongAnswer) {
   NewtonOptions opts;
 
   // Reference: solve without any cache.
-  opts.solver = sparse_with(nullptr);
+  opts.solver = cached_by(nullptr);
   NewtonWorkspace ws_ref;
   std::vector<double> x_ref;
   run_points(c, opts, ws_ref, 3, &x_ref);
@@ -182,7 +181,7 @@ TEST(ProgramCacheT, HashCollisionDegradesToPrivateCompileNotWrongAnswer) {
   // coordinate and plant it under the *original* key in a fresh cache —
   // exactly what a 64-bit hash collision would look like to the engine.
   ProgramCache donor;
-  opts.solver = sparse_with(&donor);
+  opts.solver = cached_by(&donor);
   NewtonWorkspace ws_donor;
   run_points(c, opts, ws_donor, 1);
   const auto ents = donor.entries();
@@ -194,7 +193,7 @@ TEST(ProgramCacheT, HashCollisionDegradesToPrivateCompileNotWrongAnswer) {
   ProgramCache trap;
   trap.insert(ents[0].first, forged);
 
-  opts.solver = sparse_with(&trap);
+  opts.solver = cached_by(&trap);
   NewtonWorkspace ws;
   std::vector<double> x;
   const auto [symbolic, numeric] = run_points(c, opts, ws, 3, &x);
@@ -226,7 +225,7 @@ TEST(ProgramCacheT, OneProgramIsSharedAcrossThreads) {
       Circuit c = make_switched_ladder(t, 6);
       c.finalize();
       NewtonOptions opts;
-      opts.solver = sparse_with(&cache);
+      opts.solver = cached_by(&cache);
       NewtonWorkspace ws;
       const auto [sym, num] = run_points(c, opts, ws, 4);
       symbolic[i] = sym;
@@ -255,7 +254,7 @@ TEST(ProgramCacheT, ExtractionCodesIdenticalCacheOnVsOff) {
   auto measure = [&](ProgramCache* cache, std::size_t r, std::size_t col) {
     msu::ExtractOptions opts;
     opts.record_trace = false;
-    opts.newton.solver = sparse_with(cache);
+    opts.newton.solver = cached_by(cache);
     return msu::extract_cell(mc, r, col, {}, {}, opts);
   };
   for (std::size_t r = 0; r < 2; ++r) {

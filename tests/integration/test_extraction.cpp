@@ -154,10 +154,9 @@ TEST(ExtractionT, GrownPrefixMatchesFineReferenceAcrossAllCodes) {
     ExtractOptions o{.dt = dt, .record_trace = false,
                      .delta_i = model.delta_i()};
     o.adaptive.enabled = true;
-    // A private program cache keeps the sparse pivot order independent of
-    // which pool thread compiled first.
+    // A private program cache keeps the pivot order independent of which
+    // pool thread compiled first.
     circuit::ProgramCache cache;
-    o.newton.solver.kind = circuit::SolverKind::kSparse;
     o.newton.solver.program_cache = &cache;
     o.prefix_step_cap = cap;
     return extract_cell(cell, 0, 0, params, {}, o).code;

@@ -2,8 +2,8 @@
 // extract_array with batch_width > 1 produces results bit-identical to the
 // scalar per-cell path — exhaustive and adaptive flows, forced-scalar
 // kernels, fault-injected cells retiring to the scalar path, and the
-// engagement predicate that keeps hooked / cache-less / dense plans off the
-// batch entirely.
+// engagement predicate that keeps hooked / cache-less plans off the batch
+// entirely.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -24,15 +24,11 @@ edram::MacroCell mc2x2(double cap = 30e-15) {
                                    cap);
 }
 
-// Bit-identity is claimed against the scalar *sparse* path (the batch
-// kernels are the sparse backend across lanes). kAuto picks the dense
-// backend below the crossover on these small arrays, which agrees on codes
-// (the EXT-A9 contract) but not on last bits, so the bitwise tests pin the
-// solver; AutoSolverEngagesAndCodesMatch covers the kAuto pairing.
-ExtractPlan sparse_plan() {
+// Bit-identity is claimed against the scalar path on a single attempt (the
+// batch kernels run the scalar path's sparse LU across lanes).
+ExtractPlan single_attempt_plan() {
   ExtractPlan plan;
   plan.retry.max_attempts = 1;
-  plan.options.newton.solver.kind = circuit::SolverKind::kSparse;
   return plan;
 }
 
@@ -74,10 +70,6 @@ TEST_F(BatchEngineT, EngagementPredicateGatesTheBatchPath) {
   ExtractPlan plan;
   EXPECT_TRUE(batch_engageable(plan));
 
-  ExtractPlan dense = plan;
-  dense.options.newton.solver.kind = circuit::SolverKind::kDense;
-  EXPECT_FALSE(batch_engageable(dense));
-
   ExtractPlan uncached = plan;
   uncached.options.newton.solver.program_cache = nullptr;
   EXPECT_FALSE(batch_engageable(uncached));
@@ -96,7 +88,7 @@ TEST_F(BatchEngineT, EngagementPredicateGatesTheBatchPath) {
 
 TEST_F(BatchEngineT, ExhaustiveArrayBitIdenticalToScalarPath) {
   const auto mc = mc2x2();
-  const ExtractPlan scalar_plan = sparse_plan();
+  const ExtractPlan scalar_plan = single_attempt_plan();
   const auto scalar = extract_array(mc, {}, scalar_plan);
 
   // Widths that tile the 4 cells evenly (4), with a remainder chunk (3),
@@ -115,7 +107,7 @@ TEST_F(BatchEngineT, AdaptiveArrayBitIdenticalIncludingProbeCounts) {
   // probe, so per-cell probe counts and accumulated step/iteration stats
   // match exactly, not just the codes.
   const auto mc = mc2x2();
-  ExtractPlan scalar_plan = sparse_plan();
+  ExtractPlan scalar_plan = single_attempt_plan();
   scalar_plan.options.adaptive.enabled = true;
   const auto scalar = extract_array(mc, {}, scalar_plan);
 
@@ -130,7 +122,7 @@ TEST_F(BatchEngineT, AdaptiveArrayBitIdenticalIncludingProbeCounts) {
 
 TEST_F(BatchEngineT, ForcedScalarKernelsProduceIdenticalResults) {
   const auto mc = mc2x2();
-  ExtractPlan plan = sparse_plan();
+  ExtractPlan plan = single_attempt_plan();
   plan.batch_width = 4;
   const auto dispatched = extract_array(mc, {}, plan);
 
@@ -151,7 +143,7 @@ TEST_F(BatchEngineT, HookFailedCellsRetireToScalarRetryPath) {
     }
   };
 
-  ExtractPlan scalar_plan = sparse_plan();
+  ExtractPlan scalar_plan = single_attempt_plan();
   scalar_plan.retry.max_attempts = 2;
   scalar_plan.cell_hook = flaky_hook;
   const auto scalar = extract_array(mc, {}, scalar_plan);
@@ -173,7 +165,7 @@ TEST_F(BatchEngineT, UnmeasurableCellsAreContainedIdentically) {
     if (r == 0 && c == 1) throw std::runtime_error("cell is dead");
   };
 
-  ExtractPlan scalar_plan = sparse_plan();
+  ExtractPlan scalar_plan = single_attempt_plan();
   scalar_plan.retry.max_attempts = 2;
   scalar_plan.unmeasurable_code = 7;
   scalar_plan.cell_hook = dead_hook;
@@ -191,10 +183,9 @@ TEST_F(BatchEngineT, UnmeasurableCellsAreContainedIdentically) {
   EXPECT_EQ(batched.report.failures[0].col, 1u);
 }
 
-TEST_F(BatchEngineT, AutoSolverEngagesAndCodesMatch) {
-  // Under kAuto the scalar path may run the dense backend below the
-  // crossover while the batch lanes are always sparse: codes and statuses
-  // must still pair up exactly (the EXT-A9 dense==sparse code contract).
+TEST_F(BatchEngineT, DefaultPlanEngagesAndCodesMatchSparseScalar) {
+  // The default plan engages the batch, and its sparse lanes pair up code
+  // for code and status for status with the sparse scalar run.
   const auto mc = mc2x2();
   ExtractPlan scalar_plan;
   scalar_plan.retry.max_attempts = 1;
@@ -214,7 +205,7 @@ TEST_F(BatchEngineT, AutoSolverEngagesAndCodesMatch) {
 TEST_F(BatchEngineT, NonSquareArrayChunksCoverEveryCell) {
   const auto mc = edram::MacroCell::uniform({.rows = 2, .cols = 3},
                                             tech::tech018(), 30e-15);
-  const ExtractPlan scalar_plan = sparse_plan();
+  const ExtractPlan scalar_plan = single_attempt_plan();
   const auto scalar = extract_array(mc, {}, scalar_plan);
 
   ExtractPlan plan = scalar_plan;
