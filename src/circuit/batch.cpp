@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <typeinfo>
 #include <utility>
 
+#include "circuit/mosfet.hpp"
+#include "circuit/passive.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
@@ -29,6 +32,7 @@ BatchEngine::BatchEngine(std::span<Circuit* const> lanes, const Options& opts)
   // One reset up front so a reused arena starts a fresh generation before
   // any engine carves from it (and so util.arena.resets reflects the batch).
   arena_.reset();
+  static_soa_.bind(&arena_);
   a_soa_.bind(&arena_);
   l_soa_.bind(&arena_);
   u_soa_.bind(&arena_);
@@ -59,6 +63,8 @@ BatchEngine::BatchEngine(std::span<Circuit* const> lanes, const Options& opts)
     lane.x.assign(n_, 0.0);
     lane.x_try.assign(n_, 0.0);
     lane.x_new.assign(n_, 0.0);
+    lane.b_static.assign(n_, 0.0);
+    lane.b_work.assign(n_, 0.0);
     StampContext ctx;
     ctx.x = lane.x;
     ctx.time = 0.0;
@@ -101,18 +107,18 @@ void BatchEngine::finish(std::size_t lane) {
 
 void BatchEngine::flush_counters(Lane& lane) {
   if (!obs::metrics_enabled()) return;
-  const SparseEngine* eng = lane.eng.get();
-  const std::uint64_t sym = eng ? eng->symbolic_factorizations() : 0;
-  const std::uint64_t num =
-      (eng ? eng->numeric_factorizations() : 0) + lane.vector_refactors;
+  // A completing lane always has its engine (only construction-time
+  // retirements lack one).
+  const SparseEngine& eng = *lane.eng;
   ECMS_METRIC_COUNT("circuit.newton.solves", lane.points);
   ECMS_METRIC_COUNT("circuit.newton.iterations", lane.iters);
-  ECMS_METRIC_COUNT("circuit.lu.symbolic", sym);
-  ECMS_METRIC_COUNT("circuit.lu.numeric", num);
+  ECMS_METRIC_COUNT("circuit.lu.symbolic", eng.symbolic_factorizations());
+  ECMS_METRIC_COUNT("circuit.lu.numeric",
+                    eng.numeric_factorizations() + lane.vector_refactors);
   ECMS_METRIC_COUNT("circuit.assemble.static_hits",
-                    eng ? eng->static_hits() : 0);
+                    eng.static_hits() + lane.static_hits);
   ECMS_METRIC_COUNT("circuit.assemble.restamps",
-                    eng ? eng->static_restamps() : 0);
+                    eng.static_restamps() + lane.restamps);
   // Each advance() this lane stepped in is the batched equivalent of one
   // scalar transient segment (all segments past the first are resumes).
   ECMS_METRIC_COUNT("circuit.transient.solves", lane.stats.segments);
@@ -241,179 +247,367 @@ void BatchEngine::advance(
   first_advance_ = false;
 }
 
-bool BatchEngine::solve_point(const StampContext& ctx_proto) {
-  const std::size_t W = lanes_.size();
-  ++point_epoch_;
-  for (Lane& L : lanes_) {
-    if (L.state != LaneState::kActive) continue;
-    L.unfinished = true;
-    L.point_iters = 0;
-    L.eng->begin_point();
-  }
+namespace {
 
-  // Scalar factor + solve through the lane's own engine — bit-identical to
-  // the scalar Newton iteration by construction. Used to bootstrap the
-  // shared symbolic (the publishing lane), for lanes whose private pivot
-  // order diverged from it, and to re-pivot after degradation.
-  auto scalar_factor_solve = [&](std::size_t li) -> bool {
+// A joining lane's coordinate streams with each device's end offset,
+// checked against the program and lane by lane before any lane loop
+// trusts them.
+struct Recording {
+  std::vector<std::uint64_t> s_coords, d_coords;
+  std::vector<std::uint32_t> s_end, d_end;  // per device
+};
+
+class CoordSink final : public StampSink {
+ public:
+  std::vector<std::uint64_t>* out = nullptr;
+  void add(std::size_t row, std::size_t col, double) override {
+    out->push_back(pack_coord(row, col));
+  }
+};
+
+Recording record(const Circuit& ckt, const StampContext& ctx,
+                 std::span<double> b) {
+  Recording rec;
+  CoordSink sink;
+  MnaView view(sink);
+  sink.out = &rec.s_coords;
+  for (const auto& d : ckt.devices()) {
+    if (d->nonlinear()) {
+      d->stamp_static(ctx, view, b);
+    } else {
+      d->stamp(ctx, view, b);
+    }
+    rec.s_end.push_back(static_cast<std::uint32_t>(rec.s_coords.size()));
+  }
+  sink.out = &rec.d_coords;
+  for (const auto& d : ckt.devices()) {
+    if (d->nonlinear()) d->stamp(ctx, view, b);
+    rec.d_end.push_back(static_cast<std::uint32_t>(rec.d_coords.size()));
+  }
+  return rec;
+}
+
+// The verifying replay cursor over one device's range [begin, end) of a
+// program tape, writing the lane column `column` of an SoA image.
+ReplayTape lane_tape(const std::vector<std::uint64_t>& coords,
+                     const std::vector<std::uint32_t>& slots_w,
+                     std::uint32_t begin, std::uint32_t end, double* column) {
+  ReplayTape rt;
+  rt.coords = coords.data();
+  rt.slots = slots_w.data();
+  rt.cursor = begin;
+  rt.size = end;
+  rt.values = column;
+  return rt;
+}
+
+bool same_device_types(const Circuit& a, const Circuit& b) {
+  const auto& da = a.devices();
+  const auto& db = b.devices();
+  if (da.size() != db.size()) return false;
+  for (std::size_t i = 0; i < da.size(); ++i) {
+    if (typeid(*da[i]) != typeid(*db[i])) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+void BatchEngine::newton_update(std::size_t li, int iter) {
+  Lane& L = lanes_[li];
+  const NewtonOptions& no = opts_.newton;
+  double max_dv = 0.0;
+  for (std::size_t i = 0; i < nv_; ++i) {
+    const double dv = std::abs(L.x_new[i] - L.x_try[i]);
+    if (dv > max_dv) max_dv = dv;
+  }
+  double scale = 1.0;
+  if (max_dv > no.max_delta_v) scale = no.max_delta_v / max_dv;
+  double max_x = 0.0;
+  for (std::size_t i = 0; i < nv_; ++i) {
+    max_x = std::max(max_x, std::abs(L.x_try[i]));
+  }
+  for (std::size_t i = 0; i < n_; ++i) {
+    L.x_try[i] += scale * (L.x_new[i] - L.x_try[i]);
+  }
+  L.point_iters = iter + 1;
+  const double final_delta = max_dv * scale;
+  if (!std::isfinite(final_delta)) {
+    retire(li, "non-finite newton update", /*divergence=*/true);
+    return;
+  }
+  if (scale == 1.0 &&
+      max_dv < no.tol_abs_v + no.tol_rel * std::max(max_x, 1.0)) {
+    L.unfinished = false;  // converged
+  }
+}
+
+bool BatchEngine::join() {
+  // Discovery through each lane's own engine, in lane order: a cache miss
+  // compiles and publishes exactly as the first scalar cell would (one
+  // scalar solve), before any later lane assembles, so the later lanes
+  // adopt the program during their own discovery.
+  for (std::size_t li = 0; li < lanes_.size(); ++li) {
     Lane& L = lanes_[li];
+    if (L.state != LaneState::kActive) continue;
+    L.eng->begin_point();
+    L.eng->assemble(*L.ckt, L.ctx, opts_.newton.gmin_ground);
+    if (L.eng->lu_symbolic() != nullptr) continue;  // adopted a program
     try {
       L.eng->factor();
     } catch (const SolverError&) {
       // The scalar transient rejects and halves on a singular system; a
       // halved step leaves the lockstep grid.
       retire(li, "singular system", /*divergence=*/true);
-      return false;
+      continue;
     }
     L.eng->solve(std::span<double>(L.x_new));
     ECMS_METRIC_COUNT("circuit.batch.scalar_fallbacks", 1);
-    return true;
-  };
+    newton_update(li, 0);
+    L.engine_solved = true;
+  }
 
-  // Replica of newton_solve_impl's damped update + convergence test, per
-  // lane over its own x_new (from the vector scatter or the scalar solve).
-  auto newton_update = [&](std::size_t li, int iter) {
+  // Ride the cached program most lanes hold (the scalar path adopts it
+  // too); a lane on another program or pivot order retires.
+  std::size_t best = 0;
+  for (const Lane& cand : lanes_) {
+    if (cand.state != LaneState::kActive || cand.eng->program() == nullptr)
+      continue;
+    std::size_t votes = 0;
+    for (const Lane& L : lanes_) {
+      votes += L.state == LaneState::kActive &&
+               L.eng->program() == cand.eng->program();
+    }
+    if (votes > best) {
+      best = votes;
+      prog_ = cand.eng->program();
+    }
+  }
+  if (prog_ == nullptr || prog_->symbolic == nullptr) {
+    for (std::size_t li = 0; li < lanes_.size(); ++li) {
+      retire(li, "no cached program to ride", /*divergence=*/false);
+    }
+    prog_.reset();
+    return false;
+  }
+
+  Recording ref;
+  const Lane* ref_lane = nullptr;
+  std::vector<double> b_scratch(n_);
+  for (std::size_t li = 0; li < lanes_.size(); ++li) {
     Lane& L = lanes_[li];
-    const NewtonOptions& no = opts_.newton;
-    double max_dv = 0.0;
-    for (std::size_t i = 0; i < nv_; ++i) {
-      const double dv = std::abs(L.x_new[i] - L.x_try[i]);
-      if (dv > max_dv) max_dv = dv;
+    if (L.state != LaneState::kActive) continue;
+    if (L.eng->program() != prog_ ||
+        L.eng->lu_symbolic() != prog_->symbolic) {
+      retire(li, "pivot order differs from the cached program's",
+             /*divergence=*/false);
+      continue;
     }
-    double scale = 1.0;
-    if (max_dv > no.max_delta_v) scale = no.max_delta_v / max_dv;
-    double max_x = 0.0;
-    for (std::size_t i = 0; i < nv_; ++i) {
-      max_x = std::max(max_x, std::abs(L.x_try[i]));
+    Recording rec = record(*L.ckt, L.ctx, b_scratch);
+    bool ok = rec.s_coords == prog_->static_coords &&
+              rec.d_coords == prog_->dynamic_coords;
+    if (ok && ref_lane != nullptr) {
+      ok = rec.s_end == ref.s_end && rec.d_end == ref.d_end &&
+           same_device_types(*L.ckt, *ref_lane->ckt);
     }
-    for (std::size_t i = 0; i < n_; ++i) {
-      L.x_try[i] += scale * (L.x_new[i] - L.x_try[i]);
+    if (!ok) {
+      retire(li, "coordinate streams differ from the program",
+             /*divergence=*/false);
+      continue;
     }
-    L.point_iters = iter + 1;
-    const double final_delta = max_dv * scale;
-    if (!std::isfinite(final_delta)) {
-      retire(li, "non-finite newton update", /*divergence=*/true);
-      return;
+    if (ref_lane == nullptr) {
+      ref_lane = &L;
+      ref = std::move(rec);
     }
-    if (scale == 1.0 &&
-        max_dv < no.tol_abs_v + no.tol_rel * std::max(max_x, 1.0)) {
-      L.unfinished = false;  // converged
+  }
+  if (ref_lane == nullptr) {  // every lane retired
+    prog_.reset();
+    return false;
+  }
+
+  // Per-device plans from the verified reference lane.
+  const auto& ref_devs = ref_lane->ckt->devices();
+  plans_.resize(ref_devs.size());
+  dyn_devs_.clear();
+  for (std::size_t d = 0; d < plans_.size(); ++d) {
+    const Device& dev = *ref_devs[d];
+    DevPlan& p = plans_[d];
+    p.kind = typeid(dev) == typeid(Mosfet)      ? DevKind::kMosfet
+             : typeid(dev) == typeid(Capacitor) ? DevKind::kCapacitor
+                                                : DevKind::kGeneric;
+    p.nonlinear = dev.nonlinear();
+    p.s_begin = d == 0 ? 0 : ref.s_end[d - 1];
+    p.s_end = ref.s_end[d];
+    p.d_begin = d == 0 ? 0 : ref.d_end[d - 1];
+    p.d_end = ref.d_end[d];
+    if (p.nonlinear) dyn_devs_.push_back(static_cast<std::uint32_t>(d));
+  }
+
+  const std::size_t W = lanes_.size();
+  const auto premultiply = [W](const std::vector<std::uint32_t>& slots,
+                               std::vector<std::uint32_t>& out) {
+    out.resize(slots.size());
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      out[i] = static_cast<std::uint32_t>(slots[i] * W);
     }
   };
+  premultiply(prog_->static_slots, static_slots_w_);
+  premultiply(prog_->dynamic_slots, dynamic_slots_w_);
+  const LuSymbolic& sy = *prog_->symbolic;
+  const std::size_t nnz = prog_->pattern->cols.size();
+  static_soa_.resize(nnz * W);
+  a_soa_.resize(nnz * W);
+  l_soa_.resize(sy.l_cols.size() * W);
+  u_soa_.resize(sy.u_cols.size() * W);
+  work_soa_.resize(sy.n * W);
+  pb_soa_.resize(sy.n * W);
+  degraded_.assign(W, 0);
+  return true;
+}
 
-  // Adopts lane li's pivot order as the batch's shared symbolic and sizes
-  // the SoA kernel operands for it.
-  auto adopt_shared = [&](std::size_t li) {
-    shared_sym_ = lanes_[li].eng->lu_symbolic();
-    shared_pat_ = lanes_[li].eng->matrix().pattern();
-    const LuSymbolic& sy = *shared_sym_;
-    a_soa_.resize(shared_pat_->cols.size() * W);
-    l_soa_.resize(sy.l_cols.size() * W);
-    u_soa_.resize(sy.u_cols.size() * W);
-    work_soa_.resize(sy.n * W);
-    pb_soa_.resize(sy.n * W);
-    // Only the dynamic tape's slots change between iterations of one point
-    // (the static image is frozen per point), so after a lane's first
-    // gather of a point the per-iteration gather touches these alone.
-    shared_dyn_slots_.clear();
-    const auto& prog = lanes_[li].eng->program();
-    if (prog != nullptr && prog->symbolic.get() == shared_sym_.get()) {
-      shared_dyn_slots_.assign(prog->dynamic_slots.begin(),
-                               prog->dynamic_slots.end());
-      std::sort(shared_dyn_slots_.begin(), shared_dyn_slots_.end());
-      shared_dyn_slots_.erase(
-          std::unique(shared_dyn_slots_.begin(), shared_dyn_slots_.end()),
-          shared_dyn_slots_.end());
+void BatchEngine::restamp_static(bool count) {
+  const std::size_t W = lanes_.size();
+  std::fill(static_soa_.begin(), static_soa_.end(), 0.0);
+  for (Lane& L : lanes_) {
+    if (L.state != LaneState::kActive) continue;
+    std::fill(L.b_static.begin(), L.b_static.end(), 0.0);
+  }
+  for (std::size_t d = 0; d < plans_.size(); ++d) {
+    const DevPlan& p = plans_[d];
+    const std::uint32_t* slots = static_slots_w_.data() + p.s_begin;
+    for (std::size_t li = 0; li < W; ++li) {
+      Lane& L = lanes_[li];
+      if (L.state != LaneState::kActive) continue;
+      const auto& devs = L.ckt->devices();
+      if (p.kind == DevKind::kMosfet) {
+        SlotCursor cur{slots, static_soa_.data() + li};
+        static_cast<const Mosfet&>(*devs[d])
+            .stamp_static_into(L.ctx, cur, L.b_static);
+      } else if (p.kind == DevKind::kCapacitor) {
+        SlotCursor cur{slots, static_soa_.data() + li};
+        static_cast<const Capacitor&>(*devs[d])
+            .stamp_into(L.ctx, cur, L.b_static);
+      } else {
+        ReplayTape rt = lane_tape(prog_->static_coords, static_slots_w_,
+                                  p.s_begin, p.s_end, static_soa_.data() + li);
+        MnaView view(rt);
+        if (p.nonlinear) {
+          devs[d]->stamp_static(L.ctx, view, L.b_static);
+        } else {
+          devs[d]->stamp(L.ctx, view, L.b_static);
+        }
+        if (rt.diverged || rt.cursor != rt.size) {
+          retire(li, "stamp sequence diverged from the program",
+                 /*divergence=*/true);
+        }
+      }
     }
-    for (Lane& L : lanes_) L.soa_epoch = 0;  // a_soa_ was re-carved
-  };
+  }
+  kernels::active().diag_add(static_soa_.data(), prog_->diag_slots.data(),
+                             prog_->diag_slots.size(),
+                             opts_.newton.gmin_ground, W);
+  if (!count) return;
+  for (Lane& L : lanes_) {
+    if (L.state == LaneState::kActive) ++L.restamps;
+  }
+}
 
-  std::vector<std::size_t> vec_lanes;
+void BatchEngine::stamp_dynamic() {
+  kernels::active().copy(a_soa_.data(), static_soa_.data(), a_soa_.size());
+  for (const std::size_t li : step_lanes_) {
+    Lane& L = lanes_[li];
+    std::copy(L.b_static.begin(), L.b_static.end(), L.b_work.begin());
+  }
+  for (const std::uint32_t d : dyn_devs_) {
+    const DevPlan& p = plans_[d];
+    const std::uint32_t* slots = dynamic_slots_w_.data() + p.d_begin;
+    for (const std::size_t li : step_lanes_) {
+      Lane& L = lanes_[li];
+      if (L.state != LaneState::kActive) continue;
+      const auto& devs = L.ckt->devices();
+      if (p.kind == DevKind::kMosfet) {
+        SlotCursor cur{slots, a_soa_.data() + li};
+        static_cast<const Mosfet&>(*devs[d])
+            .stamp_into(L.ctx, cur, L.b_work);
+      } else {
+        ReplayTape rt = lane_tape(prog_->dynamic_coords, dynamic_slots_w_,
+                                  p.d_begin, p.d_end, a_soa_.data() + li);
+        MnaView view(rt);
+        devs[d]->stamp(L.ctx, view, L.b_work);
+        if (rt.diverged || rt.cursor != rt.size) {
+          retire(li, "stamp sequence diverged from the program",
+                 /*divergence=*/true);
+        }
+      }
+    }
+  }
+}
+
+bool BatchEngine::solve_point(const StampContext& ctx_proto) {
+  const std::size_t W = lanes_.size();
+  for (Lane& L : lanes_) {
+    if (L.state != LaneState::kActive) continue;
+    L.unfinished = true;
+    L.engine_solved = false;
+    L.point_iters = 0;
+    L.ctx = ctx_proto;
+    L.ctx.x = L.x_try;
+  }
+
+  const bool joining = prog_ == nullptr;
+  if (joining && !join()) return false;
+  restamp_static(/*count=*/!joining);
+
+  const kernels::Kernels& kk = kernels::active();
+  const LuSymbolic& sy = *prog_->symbolic;
   for (int iter = 0; iter < opts_.newton.max_iterations; ++iter) {
     bool pending = false;
-    for (const Lane& L : lanes_) {
-      pending |= (L.state == LaneState::kActive && L.unfinished);
-    }
-    if (!pending) break;
-
-    vec_lanes.clear();
-    for (std::size_t li = 0; li < lanes_.size(); ++li) {
+    step_lanes_.clear();
+    for (std::size_t li = 0; li < W; ++li) {
       Lane& L = lanes_[li];
       if (L.state != LaneState::kActive || !L.unfinished) continue;
-      StampContext ctx = ctx_proto;
-      ctx.x = L.x_try;
-      L.eng->assemble(*L.ckt, ctx, opts_.newton.gmin_ground);
-      if (shared_sym_ == nullptr) {
-        if (L.eng->lu_symbolic() == nullptr) {
-          // Cache miss: this lane compiles and publishes exactly as the
-          // first scalar cell would, before any later lane assembles — so
-          // the later lanes adopt it during their own discovery.
-          if (!scalar_factor_solve(li)) continue;
-          if (L.eng->lu_symbolic() != nullptr) adopt_shared(li);
-          newton_update(li, iter);
-          continue;
-        }
-        adopt_shared(li);
-      }
-      if (L.eng->lu_symbolic().get() == shared_sym_.get()) {
-        vec_lanes.push_back(li);
-      } else {
-        // Private pivot order (publication race or an earlier re-pivot):
-        // the lane stays in lockstep but solves through its own engine.
-        if (scalar_factor_solve(li)) newton_update(li, iter);
-      }
-    }
-
-    if (vec_lanes.empty()) continue;
-    const LuSymbolic& sy = *shared_sym_;
-    const std::size_t nnz = shared_pat_->cols.size();
-
-    // Gather lane values and right-hand sides into SoA form. The kernels
-    // compute every one of the W columns; columns of retired / scalar /
-    // finished lanes hold stale data whose results are never read.
-    for (std::size_t li : vec_lanes) {
-      Lane& L = lanes_[li];
-      const std::span<const double> av = L.eng->matrix().values();
-      double* a = a_soa_.data();
-      if (L.soa_epoch != point_epoch_ || shared_dyn_slots_.empty()) {
-        for (std::size_t s = 0; s < nnz; ++s) a[s * W + li] = av[s];
-        L.soa_epoch = point_epoch_;
-      } else {
-        for (const std::uint32_t s : shared_dyn_slots_) a[s * W + li] = av[s];
-      }
-      const std::span<const double> b = L.eng->rhs();
-      double* pb = pb_soa_.data();
-      for (std::size_t i = 0; i < sy.n; ++i) {
-        pb[i * W + li] = b[sy.perm_row[i]];
-      }
-    }
-
-    const kernels::Kernels& kk = kernels::active();
-    kk.refactor(sy, a_soa_.data(), l_soa_.data(), u_soa_.data(),
-                work_soa_.data(), W);
-
-    // Pivot health per lane (scalar replica of refactor()'s early return).
-    // A degraded lane re-pivots through its engine, exactly as the scalar
-    // path's refactor-failure -> full-factor sequence does; its new private
-    // order routes it to the scalar solve from the next iteration on.
-    std::size_t kept = 0;
-    for (std::size_t li : vec_lanes) {
-      if (kernels::first_degraded_row(sy, u_soa_.data(), W, li) >= 0) {
-        ECMS_METRIC_COUNT("circuit.batch.divergences", 1);
-        if (scalar_factor_solve(li)) newton_update(li, iter);
+      pending = true;
+      if (L.engine_solved) {  // the bootstrap solve took this iteration
+        L.engine_solved = false;
         continue;
       }
-      ++lanes_[li].vector_refactors;
-      vec_lanes[kept++] = li;
+      step_lanes_.push_back(li);
+      // The scalar engine restamps on a point's first assembly and reuses
+      // the static image on the rest (the join point's restamp is the
+      // lane engine's discovery).
+      if (iter > 0) ++L.static_hits;
     }
-    vec_lanes.resize(kept);
-    if (vec_lanes.empty()) continue;
+    if (!pending) break;
+    if (step_lanes_.empty()) continue;
 
-    kk.solve(sy, l_soa_.data(), u_soa_.data(), pb_soa_.data(), W);
+    stamp_dynamic();
+    double* pb = pb_soa_.data();
+    for (const std::size_t li : step_lanes_) {
+      const Lane& L = lanes_[li];
+      if (L.state != LaneState::kActive) continue;
+      for (std::size_t i = 0; i < sy.n; ++i) {
+        pb[i * W + li] = L.b_work[sy.perm_row[i]];
+      }
+    }
 
-    for (std::size_t li : vec_lanes) {
+    // The kernels compute every one of the W columns; columns of retired /
+    // finished / converged lanes hold stale data whose results are never
+    // read.
+    kk.refactor(sy, a_soa_.data(), l_soa_.data(), u_soa_.data(),
+                work_soa_.data(), W);
+    kk.pivot_health(sy, u_soa_.data(), W, degraded_.data());
+    kk.solve(sy, l_soa_.data(), u_soa_.data(), pb, W);
+
+    for (const std::size_t li : step_lanes_) {
       Lane& L = lanes_[li];
-      const double* pb = pb_soa_.data();
+      if (L.state != LaneState::kActive) continue;
+      if (degraded_[li] != 0) {
+        // The scalar refactor would re-pivot here, off the cached order.
+        retire(li, "pivot degraded under the cached order",
+               /*divergence=*/true);
+        continue;
+      }
+      ++L.vector_refactors;
       for (std::size_t j = 0; j < sy.n; ++j) {
         L.x_new[sy.perm_col[j]] = pb[j * W + li];
       }

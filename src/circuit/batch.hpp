@@ -4,13 +4,33 @@
 // Every cell of an array tile is the same netlist with different element
 // values, so after the first cell publishes its compiled program (pattern,
 // stamp tapes, pivot order) all K cells can be advanced through the same
-// time grid together: per-lane node voltages and per-lane CSR value arrays
-// in structure-of-arrays form, one shared stamp-slot tape, and the numeric
-// refactorization / triangular solves vectorized across lanes
-// (circuit/kernels.hpp). Device evaluation and stamping stay scalar per
-// lane through each lane's own SparseEngine — exactly the scalar assembly
-// path, so tape divergence detection, static-image reuse and program-cache
-// accounting are inherited rather than re-implemented.
+// time grid together: per-lane node voltages and structure-of-arrays (SoA)
+// matrix values, element (slot, lane) at [slot * K + lane], with the
+// numeric refactorization, pivot-health check and triangular solves
+// vectorized across lanes (circuit/kernels.hpp).
+//
+// Lane-native assembly: on the first point each lane's own SparseEngine
+// runs discovery and the program-cache lookup (so circuit.program.*
+// accounting is the scalar path's), and a lane that missed the cache
+// bootstraps the program with one scalar solve. From then on the engines
+// are idle: every lane is stamped straight into the SoA operands, device by
+// device. MOSFETs and capacitors (nearly all stamps) walk all lanes per
+// device through a SlotCursor over the program's premultiplied slots,
+// sharing the scalar path's stamp bodies (Mosfet::stamp_into & co.), so
+// the add order per slot is the scalar one by construction; every other
+// device goes through the verifying ReplayTape. The static image is SoA
+// too: restamped once per point for all lanes, restored with one
+// kernels::copy per Newton iteration.
+//
+// Precondition: lane circuits are immutable for the batch's lifetime (no
+// device is added, removed, rewired or re-valued between construction and
+// the last advance()). Each lane's coordinate streams are verified against
+// the program once, when it joins; the lane loops rely on that.
+//
+// Pivot order: the batch rides the order carried by the cached program. A
+// lane on any other order (a bootstrap lane that lost the publication race
+// to another thread) retires to the scalar path, and so does a lane whose
+// refactorization degrades under it (the scalar path would re-pivot).
 //
 // Identity: with no rejected steps, run_transient's StepSchedule is
 // value-independent — time points are a pure function of (dt, growth
@@ -20,17 +40,21 @@
 // decisions are scalar replicas of newton_solve_impl over the SoA results.
 // Anything that would make a lane's scalar trajectory diverge from the
 // lockstep grid (a rejected step, pivot degradation, a non-finite update,
-// tape divergence, a private pivot order that later disagrees) retires the
-// lane: the caller re-measures it on the scalar path from scratch, which by
-// construction reproduces what an all-scalar run would have produced. Lanes
-// that complete here are bit-identical to the scalar sparse path.
+// a coordinate stream or pivot order that differs from the program)
+// retires the lane: the caller re-measures it on the scalar path from
+// scratch, which by construction reproduces what an all-scalar run would
+// have produced. Lanes that complete here are bit-identical to the scalar
+// sparse path.
 //
 // Counters: circuit.batch.{lanes,retired,divergences,scalar_fallbacks} plus
 // per-lane equivalents of the scalar solver counters (newton/lu/assemble/
-// transient), flushed only for lanes that complete — a retired lane's
-// partial work is dropped so its scalar re-measurement counts once.
+// transient) — the engine's own for discovery and the bootstrap solve, the
+// lane-native restamps, static hits and refactors for the rest — flushed
+// only for lanes that complete: a retired lane's partial work is dropped
+// so its scalar re-measurement counts once.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
@@ -119,26 +143,53 @@ class BatchEngine {
                                         std::span<const double>)>& on_sample);
 
  private:
+  /// How the lane-native assembly stamps one device across the lanes.
+  enum class DevKind : std::uint8_t { kMosfet, kCapacitor, kGeneric };
+  struct DevPlan {
+    DevKind kind = DevKind::kGeneric;
+    bool nonlinear = false;
+    std::uint32_t s_begin = 0, s_end = 0;  ///< static tape range
+    std::uint32_t d_begin = 0, d_end = 0;  ///< dynamic tape range
+  };
+
   struct Lane {
     Circuit* ckt = nullptr;
+    /// Discovery, cache lookup and a bootstrap solve on the first point;
+    /// idle afterwards (its counters are flushed with the lane's).
     std::unique_ptr<SparseEngine> eng;
     std::vector<double> x, x_try, x_new;
+    std::vector<double> b_static, b_work;  ///< this lane's RHS images
+    StampContext ctx;                      ///< this point, x = x_try
     LaneState state = LaneState::kActive;
     std::string reason;
     LaneStats stats;
     // Point-solve scratch.
-    bool unfinished = false;  ///< still iterating this point
+    bool unfinished = false;     ///< still iterating this point
+    bool engine_solved = false;  ///< this iteration solved by the engine
     int point_iters = 0;
     // Pending per-lane obs counters, flushed on completion only.
     std::size_t points = 0;
     std::size_t iters = 0;
     std::size_t vector_refactors = 0;
-    // Last point epoch whose static image was gathered into a_soa_; the
-    // per-iteration gather then touches dynamic slots only.
-    std::uint64_t soa_epoch = 0;
+    std::size_t restamps = 0;
+    std::size_t static_hits = 0;
   };
 
   void flush_counters(Lane& lane);
+  /// First point: per-lane discovery and cache lookup, the bootstrap solve
+  /// of a lane that missed, then the join — pick the cached program, retire
+  /// lanes on another order or coordinate stream, size the SoA operands.
+  /// Returns false when no lane is left active.
+  bool join();
+  /// Restamps the SoA static image and the lanes' static RHS for this
+  /// point. `count` is false on the join point, whose restamp the lane
+  /// engines' discovery already counted.
+  void restamp_static(bool count);
+  /// Restores the static image and stamps the dynamic (iterate-dependent)
+  /// part of every lane in step_lanes_.
+  void stamp_dynamic();
+  /// newton_solve_impl's damped update + convergence test for one lane.
+  void newton_update(std::size_t lane, int iter);
   /// One lockstep Newton point over all unfinished lanes; retires lanes
   /// that fail. Returns false when no lane is left active.
   bool solve_point(const StampContext& ctx_proto);
@@ -148,14 +199,17 @@ class BatchEngine {
   std::size_t nv_ = 0;  ///< voltage unknowns per lane
   std::vector<Lane> lanes_;
   util::Arena arena_;
-  std::shared_ptr<const LuSymbolic> shared_sym_;
-  std::shared_ptr<const SparsePattern> shared_pat_;
-  // Deduplicated value slots the dynamic tape touches (empty = gather the
-  // full image every iteration) and the current point epoch.
-  std::vector<std::uint32_t> shared_dyn_slots_;
-  std::uint64_t point_epoch_ = 0;
+  /// The cached program the batch rides (null until the join).
+  std::shared_ptr<const NetlistProgram> prog_;
+  std::vector<DevPlan> plans_;             ///< per device, stamp order
+  std::vector<std::uint32_t> dyn_devs_;    ///< nonlinear device indices
+  // The program's tape slots premultiplied by the width.
+  std::vector<std::uint32_t> static_slots_w_, dynamic_slots_w_;
+  std::vector<std::size_t> step_lanes_;  ///< lanes solved this iteration
+  std::vector<std::uint8_t> degraded_;   ///< pivot_health flags per lane
   // SoA kernel operands, [slot * width + lane].
-  util::ArenaBuf<double> a_soa_, l_soa_, u_soa_, work_soa_, pb_soa_;
+  util::ArenaBuf<double> static_soa_, a_soa_, l_soa_, u_soa_, work_soa_,
+      pb_soa_;
   double t_ = 0.0;
   double dt_ = 0.0;  ///< running step size
   bool force_be_ = true;

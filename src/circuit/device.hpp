@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -113,8 +114,35 @@ class MnaView {
   ReplayTape* tape_ = nullptr;
 };
 
-/// Stamps conductance g between nodes a and b.
-void stamp_conductance(MnaView& a_mat, NodeId a, NodeId b, double g);
+/// Non-verifying slot cursor for the batch engine's lane loops
+/// (batch.hpp): writes one lane of a structure-of-arrays value image. Its
+/// slots are the program's resolved tape slots premultiplied by the batch
+/// width, and `values` points at the lane's column (image + lane), so every
+/// add lands in element (slot, lane). The coordinates are not checked here:
+/// the batch verifies each lane's coordinate streams against the program
+/// once, when the lane joins. Satisfies the same add() interface as MnaView,
+/// so one templated stamp body serves both.
+struct SlotCursor {
+  const std::uint32_t* slot = nullptr;  ///< next premultiplied value slot
+  double* values = nullptr;             ///< this lane's column of the image
+  void add(std::size_t /*row*/, std::size_t /*col*/, double v) {
+    values[*slot++] += v;
+  }
+};
+
+/// Stamps conductance g between nodes a and b. `Sink` is MnaView or
+/// SlotCursor; the add order is the same for both.
+template <class Sink>
+void stamp_conductance(Sink& a_mat, NodeId a, NodeId b, double g) {
+  if (a != kGround) {
+    a_mat.add(unknown_of(a), unknown_of(a), g);
+    if (b != kGround) a_mat.add(unknown_of(a), unknown_of(b), -g);
+  }
+  if (b != kGround) {
+    a_mat.add(unknown_of(b), unknown_of(b), g);
+    if (a != kGround) a_mat.add(unknown_of(b), unknown_of(a), -g);
+  }
+}
 
 /// Stamps an asymmetric transconductance: current into `out_p` / out of
 /// `out_n` proportional to (v(in_p) - v(in_n)) * g.
@@ -123,7 +151,11 @@ void stamp_transconductance(MnaView& a_mat, NodeId out_p, NodeId out_n,
 
 /// Stamps a constant current `i` flowing from node a to node b (leaving a,
 /// entering b).
-void stamp_current(std::span<double> b_vec, NodeId a, NodeId b, double i);
+inline void stamp_current(std::span<double> b_vec, NodeId a, NodeId b,
+                          double i) {
+  if (a != kGround) b_vec[unknown_of(a)] -= i;
+  if (b != kGround) b_vec[unknown_of(b)] += i;
+}
 
 /// Shared companion model for a linear capacitor (used by the Capacitor
 /// device and by MOSFET intrinsic capacitances). Charge-conserving under both
@@ -136,9 +168,22 @@ class CapCompanion {
   double capacitance() const { return c_; }
   void set_capacitance(double farads) { c_ = farads; }
 
-  /// Stamps the companion between nodes a, b. No-op in DC (capacitor open).
-  void stamp(const StampContext& ctx, NodeId a, NodeId b, MnaView& a_mat,
-             std::span<double> b_vec) const;
+  /// Stamps the companion between nodes a, b. No-op in DC (capacitor open)
+  /// and for a zero capacitance, so c == 0 changes the coordinate stream.
+  template <class Sink>
+  void stamp(const StampContext& ctx, NodeId a, NodeId b, Sink& a_mat,
+             std::span<double> b_vec) const {
+    if (ctx.is_dc() || c_ == 0.0) return;  // open in DC
+    const double g = geq(ctx);
+    // Companion: i(a->b) = g * v - j, with
+    //   BE:   j = g * v_prev
+    //   trap: j = g * v_prev + i_prev
+    double j = g * v_prev_;
+    if (ctx.method == Integrator::kTrapezoidal) j += i_prev_;
+    stamp_conductance(a_mat, a, b, g);
+    // The equivalent source j flows b->a (it opposes the conductance term).
+    stamp_current(b_vec, b, a, j);
+  }
 
   /// Latches v across (a - b) as history; zeroes the current history.
   void init_state(const StampContext& ctx, NodeId a, NodeId b);
@@ -162,7 +207,10 @@ class CapCompanion {
   }
 
  private:
-  double geq(const StampContext& ctx) const;
+  double geq(const StampContext& ctx) const {
+    return ctx.method == Integrator::kBackwardEuler ? c_ / ctx.dt
+                                                    : 2.0 * c_ / ctx.dt;
+  }
   double c_ = 0.0;
   double v_prev_ = 0.0;
   double i_prev_ = 0.0;

@@ -1,5 +1,6 @@
 #include "circuit/kernels.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -77,6 +78,25 @@ void solve_scalar(const LuSymbolic& sy, const double* l, const double* u,
   }
 }
 
+void pivot_health_scalar(const LuSymbolic& sy, const double* u,
+                         std::size_t w, std::uint8_t* flags) {
+  for (std::size_t k = 0; k < w; ++k) flags[k] = 0;
+  for (std::size_t i = 0; i < sy.n; ++i) {
+    const double* piv = u + static_cast<std::size_t>(sy.u_ptr[i]) * w;
+    for (std::size_t k = 0; k < w; ++k) {
+      double rmax = 0.0;
+      for (std::uint32_t s = sy.u_ptr[i]; s < sy.u_ptr[i + 1]; ++s) {
+        rmax = std::max(rmax, std::abs(u[static_cast<std::size_t>(s) * w + k]));
+      }
+      const double mag = std::abs(piv[k]);
+      if (!std::isfinite(piv[k]) || mag == 0.0 ||
+          mag < kRepivotThreshold * rmax) {
+        flags[k] = 1;
+      }
+    }
+  }
+}
+
 void copy_scalar(double* dst, const double* src, std::size_t count) {
   std::memcpy(dst, src, count * sizeof(double));
 }
@@ -90,7 +110,8 @@ void diag_add_scalar(double* values, const std::uint32_t* slots,
 }
 
 constexpr Kernels kScalar = {"scalar", refactor_scalar, solve_scalar,
-                             copy_scalar, diag_add_scalar};
+                             pivot_health_scalar, copy_scalar,
+                             diag_add_scalar};
 
 bool env_forces_scalar() {
   const char* v = std::getenv("ECMS_FORCE_SCALAR_KERNELS");
@@ -146,30 +167,13 @@ const char* isa_summary() {
 }
 
 std::size_t preferred_width() {
-  // Measured on the 16x16 array extraction: width 16 amortizes the per-chunk
-  // bootstrap best on AVX2 (6.96 s vs 7.11 s at 8); 32+ regresses because
-  // the SoA working set (a/l/u/work at nnz * W doubles) falls out of L2.
+  // Measured on the 16x16 array extraction (4x4 tiles, --jobs 2, AVX2):
+  // width 16 ran 0.475 s median wall against 0.509 s at 8 over 8 alternating
+  // rounds, and 32 runs the same chunks as 16 because a 4x4 tile holds 16
+  // cells. No width won every round, so the constant stays.
   const Kernels& k = active();
   if (std::strcmp(k.name, "avx2") == 0) return 16;
   return 4;
-}
-
-long first_degraded_row(const LuSymbolic& sy, const double* u,
-                        std::size_t width, std::size_t lane) {
-  for (std::size_t i = 0; i < sy.n; ++i) {
-    double rmax = 0.0;
-    for (std::uint32_t s = sy.u_ptr[i]; s < sy.u_ptr[i + 1]; ++s) {
-      const double v = u[static_cast<std::size_t>(s) * width + lane];
-      rmax = std::max(rmax, std::abs(v));
-    }
-    const double piv =
-        u[static_cast<std::size_t>(sy.u_ptr[i]) * width + lane];
-    const double mag = std::abs(piv);
-    if (!std::isfinite(piv) || mag == 0.0 || mag < kRepivotThreshold * rmax) {
-      return static_cast<long>(i);
-    }
-  }
-  return -1;
 }
 
 }  // namespace ecms::circuit::kernels

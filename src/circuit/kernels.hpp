@@ -1,20 +1,24 @@
 // Batched SoA kernels for the lockstep cell simulator (DESIGN.md §14).
 //
 // The batch engine advances K cells that share one NetlistProgram; its hot
-// loops — the numeric refactorization over the frozen pivot order, the
-// forward/backward triangular solves, and the static-image restamp copy —
-// operate on structure-of-arrays value storage, element (slot, lane) at
-// `a[slot * width + lane]`, so one instruction stream serves every lane.
+// loops — the numeric refactorization over the frozen pivot order, its
+// pivot-health check, the forward/backward triangular solves, and the
+// static-image restore copy — operate on structure-of-arrays value storage,
+// element (slot, lane) at `a[slot * width + lane]`, so one instruction
+// stream serves every lane.
 //
 // Bit-identity contract: a vector kernel performs, per lane, exactly the
 // floating-point operations of the scalar SparseLu path in exactly the same
-// order. Only lanewise IEEE-754 arithmetic (+, -, *, /) is vectorized —
-// never comparisons, max-reductions or anything with NaN-sensitive
-// semantics; pivot-health and convergence decisions stay in scalar replica
-// code that reads the SoA arrays. No FMA contraction on either side (the
-// build forces -ffp-contract=off), so scalar and vector lanes agree to the
-// last ulp on every host, and the scalar fallback is not a degraded mode
-// but the same function computed 1 lane at a time.
+// order. Values are computed with lanewise IEEE-754 arithmetic (+, -, *, /)
+// only. The one decision made in vector code, pivot_health(), decides
+// exactly as SparseLu::refactor()'s scalar check: its row maximum is
+// max(|v|, rmax) on MAXPD, which returns its second operand when either
+// is NaN, so a NaN entry is skipped exactly as std::max(rmax, |v|) skips
+// it, and its comparisons are ordered/unordered to match std::isfinite and
+// the scalar < and ==. No FMA contraction on either side (the build forces
+// -ffp-contract=off), so scalar and vector lanes agree to the last ulp on
+// every host, and the scalar fallback is not a degraded mode but the same
+// function computed 1 lane at a time.
 //
 // Dispatch: resolved once at first use from the host CPU (AVX2 on x86-64,
 // scalar otherwise), overridable for tests and benches via
@@ -38,8 +42,8 @@ struct Kernels {
   /// ascending column order, gather L and U — the exact op sequence of
   /// SparseLu::refactor(), for every row of every lane unconditionally.
   /// Degraded or singular lanes produce garbage in later rows (confined to
-  /// that lane); callers must run first_degraded_row() per lane and discard
-  /// accordingly. `work` is the dense scatter scratch, sy.n * width wide.
+  /// that lane); callers must run pivot_health() and discard flagged lanes.
+  /// `work` is the dense scatter scratch, sy.n * width wide.
   void (*refactor)(const LuSymbolic& sy, const double* a, double* l,
                    double* u, double* work, std::size_t width);
 
@@ -49,8 +53,16 @@ struct Kernels {
   void (*solve)(const LuSymbolic& sy, const double* l, const double* u,
                 double* pb, std::size_t width);
 
+  /// SparseLu::refactor()'s pivot-health early return for every lane of a
+  /// refactored U: flags[lane] = 1 when some permuted row's pivot is
+  /// non-finite, exactly zero, or below kRepivotThreshold times that row's
+  /// max |U| (NaN entries skipped), else 0. A flagged lane's L/U rows past
+  /// its first degraded row are garbage.
+  void (*pivot_health)(const LuSymbolic& sy, const double* u,
+                       std::size_t width, std::uint8_t* flags);
+
   /// dst[i] = src[i] for `count` doubles — the static-image -> working-
-  /// values broadcast restamp, all lanes at once.
+  /// values restore, all lanes at once.
   void (*copy)(double* dst, const double* src, std::size_t count);
 
   /// values[slot * width + lane] += g for every slot in `slots` — the gmin
@@ -79,14 +91,6 @@ const char* isa_summary();
 
 /// Default lane count for batch_width = auto on this host.
 std::size_t preferred_width();
-
-/// Scalar replica of SparseLu::refactor()'s pivot-health early return for
-/// one lane of a vector-refactored U: the first permuted row whose pivot is
-/// non-finite, exactly zero, or below kRepivotThreshold times the row max,
-/// or -1 when every row is healthy. A lane with a degraded row must be
-/// retired (its L/U rows past that point are garbage).
-long first_degraded_row(const LuSymbolic& sy, const double* u,
-                        std::size_t width, std::size_t lane);
 
 /// The refactor-time pivot-health threshold; mirrors the scalar engine's
 /// (sparse.cpp) so batch retirement decisions match scalar re-pivots.

@@ -36,15 +36,15 @@ Interp ekv_f(double u) {
 }
 
 // n-type core evaluation (both models); voltages are absolute.
-MosEval eval_ncore(const MosParams& p, double vg, double vd, double vs,
-                   double vb) {
+MosEval eval_ncore(const MosParams& p, const MosConsts& k, double vg,
+                   double vd, double vs, double vb) {
   MosEval e;
-  const double vt = phys::thermal_voltage(p.temp_k);
-  const double beta = p.kp * p.w / p.l;
+  const double vt = k.vt;
+  const double beta = k.beta;
 
   if (p.model == MosModel::kEkv) {
     const double n = p.n_slope;
-    const double is = 2.0 * n * beta * vt * vt;
+    const double is = k.is;
     const double vp = (vg - vb - p.vth0) / n;
     const double uf = (vp - (vs - vb)) / vt;
     const double ur = (vp - (vd - vb)) / vt;
@@ -55,10 +55,10 @@ MosEval eval_ncore(const MosParams& p, double vg, double vd, double vs,
     const double ids0 = is * (ff - fr);
     e.ids = ids0 * clm;
     const double a = is * clm;
-    e.d_vg = a * (dff - dfr) / (n * vt);
+    e.d_vg = a * (dff - dfr) / k.n_vt;
     e.d_vd = a * dfr / vt + ids0 * p.lambda;
     e.d_vs = -a * dff / vt - ids0 * p.lambda;
-    e.d_vb = a * (dff - dfr) * (n - 1.0) / (n * vt);
+    e.d_vb = a * (dff - dfr) * k.n_m1 / k.n_vt;
     return e;
   }
 
@@ -71,7 +71,7 @@ MosEval eval_ncore(const MosParams& p, double vg, double vd, double vs,
     sign = -1.0;
   }
   const double vsb = s - vb;
-  const double vth = p.vth0 + (p.n_slope - 1.0) * std::max(vsb, 0.0);
+  const double vth = p.vth0 + k.n_m1 * std::max(vsb, 0.0);
   const double vgs = vg - s;
   const double vds = d - s;
   const double vgst = vgs - vth;
@@ -93,7 +93,7 @@ MosEval eval_ncore(const MosParams& p, double vg, double vd, double vs,
     gm = beta * vgst * clm;
     gds = 0.5 * beta * vgst * vgst * p.lambda;
   }
-  const double gmb = gm * (p.n_slope - 1.0) * (vsb > 0.0 ? 1.0 : 0.0);
+  const double gmb = gm * k.n_m1 * (vsb > 0.0 ? 1.0 : 0.0);
   // Map swapped-terminal derivatives back to the original orientation.
   // In the swapped frame: dI/dg = gm, dI/dd = gds, dI/ds = -(gm+gds+gmb),
   // dI/db = gmb. Sign flips the current and each derivative.
@@ -114,14 +114,24 @@ MosEval eval_ncore(const MosParams& p, double vg, double vd, double vs,
   return e;
 }
 
-}  // namespace
+MosConsts mos_consts(const MosParams& p) {
+  MosConsts k;
+  k.vt = phys::thermal_voltage(p.temp_k);
+  k.beta = p.kp * p.w / p.l;
+  const double n = p.n_slope;
+  k.is = 2.0 * n * k.beta * k.vt * k.vt;
+  k.n_vt = n * k.vt;
+  k.n_m1 = n - 1.0;
+  return k;
+}
 
-MosEval mos_eval(const MosParams& p, double vg, double vd, double vs,
-                 double vb) {
-  if (p.type == MosType::kNmos) return eval_ncore(p, vg, vd, vs, vb);
+// mos_eval with the constants already derived (k == mos_consts(p)).
+MosEval eval_with(const MosParams& p, const MosConsts& k, double vg,
+                  double vd, double vs, double vb) {
+  if (p.type == MosType::kNmos) return eval_ncore(p, k, vg, vd, vs, vb);
   // PMOS: mirror all voltages, evaluate the n-core, negate the current.
   // d(-I(-v))/dv = +dI/dv' so derivatives carry over unchanged.
-  MosEval m = eval_ncore(p, -vg, -vd, -vs, -vb);
+  MosEval m = eval_ncore(p, k, -vg, -vd, -vs, -vb);
   MosEval e;
   e.ids = -m.ids;
   e.d_vg = m.d_vg;
@@ -131,13 +141,26 @@ MosEval mos_eval(const MosParams& p, double vg, double vd, double vs,
   return e;
 }
 
+}  // namespace
+
+MosEval mos_eval(const MosParams& p, double vg, double vd, double vs,
+                 double vb) {
+  return eval_with(p, mos_consts(p), vg, vd, vs, vb);
+}
+
 double mos_ids(const MosParams& p, double vgs, double vds) {
   return mos_eval(p, vgs, vds, 0.0, 0.0).ids;
 }
 
 Mosfet::Mosfet(std::string name, NodeId d, NodeId g, NodeId s, NodeId b,
                MosParams params)
-    : Device(std::move(name)), d_(d), g_(g), s_(s), b_(b), p_(params) {
+    : Device(std::move(name)),
+      d_(d),
+      g_(g),
+      s_(s),
+      b_(b),
+      p_(params),
+      k_(mos_consts(params)) {
   ECMS_REQUIRE(p_.w > 0 && p_.l > 0, "MOSFET geometry must be positive");
   ECMS_REQUIRE(p_.kp > 0, "MOSFET kp must be positive");
   // Intrinsic capacitance split: overlap caps to S/D, the full channel
@@ -149,10 +172,11 @@ Mosfet::Mosfet(std::string name, NodeId d, NodeId g, NodeId s, NodeId b,
   csb_.set_capacitance(p_.c_junction());
 }
 
-void Mosfet::stamp(const StampContext& ctx, MnaView& a_mat,
-                   std::span<double> b_vec) const {
+template <class Sink>
+void Mosfet::stamp_into(const StampContext& ctx, Sink& a_mat,
+                        std::span<double> b_vec) const {
   const double vg = ctx.v(g_), vd = ctx.v(d_), vs = ctx.v(s_), vb = ctx.v(b_);
-  const MosEval e = mos_eval(p_, vg, vd, vs, vb);
+  const MosEval e = eval_with(p_, k_, vg, vd, vs, vb);
 
   // Newton companion for the channel current I(d->s):
   // I ~ I0 + sum_k dI/dvk (vk - vk0).
@@ -170,8 +194,9 @@ void Mosfet::stamp(const StampContext& ctx, MnaView& a_mat,
   stamp_current(b_vec, d_, s_, ieq);
 }
 
-void Mosfet::stamp_static(const StampContext& ctx, MnaView& a_mat,
-                          std::span<double> b_vec) const {
+template <class Sink>
+void Mosfet::stamp_static_into(const StampContext& ctx, Sink& a_mat,
+                               std::span<double> b_vec) const {
   // Convergence aid across the channel (negligible at 1e-12 S).
   stamp_conductance(a_mat, d_, s_, ctx.gmin);
 
@@ -185,6 +210,15 @@ void Mosfet::stamp_static(const StampContext& ctx, MnaView& a_mat,
   cdb_.stamp(ctx, d_, b_, a_mat, b_vec);
   csb_.stamp(ctx, s_, b_, a_mat, b_vec);
 }
+
+template void Mosfet::stamp_into(const StampContext&, MnaView&,
+                                 std::span<double>) const;
+template void Mosfet::stamp_into(const StampContext&, SlotCursor&,
+                                 std::span<double>) const;
+template void Mosfet::stamp_static_into(const StampContext&, MnaView&,
+                                        std::span<double>) const;
+template void Mosfet::stamp_static_into(const StampContext&, SlotCursor&,
+                                        std::span<double>) const;
 
 void Mosfet::init_state(const StampContext& ctx) {
   cgs_.init_state(ctx, g_, s_);
@@ -203,7 +237,7 @@ void Mosfet::accept_step(const StampContext& ctx) {
 }
 
 double Mosfet::probe_current(const StampContext& ctx) const {
-  return mos_eval(p_, ctx.v(g_), ctx.v(d_), ctx.v(s_), ctx.v(b_)).ids;
+  return eval_with(p_, k_, ctx.v(g_), ctx.v(d_), ctx.v(s_), ctx.v(b_)).ids;
 }
 
 void Mosfet::save_state(std::vector<double>& out) const {

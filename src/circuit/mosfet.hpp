@@ -62,6 +62,18 @@ struct MosEval {
   double d_vb = 0.0;
 };
 
+/// Per-instance constants of the channel models, a pure function of the
+/// parameters. mos_eval() derives them on every call; a Mosfet derives
+/// them once at construction through the same function (mosfet.cpp), so
+/// both evaluations see bit-identical constants.
+struct MosConsts {
+  double vt = 0.0;    ///< thermal voltage kT/q
+  double beta = 0.0;  ///< kp * W / L
+  double is = 0.0;    ///< EKV specific current 2 n beta vt^2
+  double n_vt = 0.0;  ///< n * vt
+  double n_m1 = 0.0;  ///< n - 1 (linearized body effect)
+};
+
 /// Evaluates the channel current for terminal voltages (absolute, any
 /// reference). Exposed as a free function so the behavioral fast model and
 /// tests can share the exact same I-V surface as the transient simulator.
@@ -79,10 +91,24 @@ class Mosfet : public Device {
          MosParams params);
 
   void stamp(const StampContext& ctx, MnaView& a_mat,
-             std::span<double> b_vec) const override;
+             std::span<double> b_vec) const override {
+    stamp_into(ctx, a_mat, b_vec);
+  }
   /// gmin tie and the five intrinsic capacitances (iterate-independent).
   void stamp_static(const StampContext& ctx, MnaView& a_mat,
-                    std::span<double> b_vec) const override;
+                    std::span<double> b_vec) const override {
+    stamp_static_into(ctx, a_mat, b_vec);
+  }
+  /// The bodies of stamp() and stamp_static(), templated over the matrix
+  /// sink: MnaView on the scalar path, SlotCursor in the batch engine's
+  /// lane loop. One body per stamp means one add order per slot on both
+  /// paths. Instantiated for those two sinks in mosfet.cpp.
+  template <class Sink>
+  void stamp_into(const StampContext& ctx, Sink& a_mat,
+                  std::span<double> b_vec) const;
+  template <class Sink>
+  void stamp_static_into(const StampContext& ctx, Sink& a_mat,
+                         std::span<double> b_vec) const;
   bool nonlinear() const override { return true; }
   void init_state(const StampContext& ctx) override;
   void accept_step(const StampContext& ctx) override;
@@ -100,6 +126,7 @@ class Mosfet : public Device {
  private:
   NodeId d_, g_, s_, b_;
   MosParams p_;
+  MosConsts k_;  // mos_consts(p_); parameters never change after construction
   CapCompanion cgs_, cgd_, cgb_, cdb_, csb_;
 };
 

@@ -32,16 +32,6 @@ Capacitor::Capacitor(std::string name, NodeId a, NodeId b, double farads)
   ECMS_REQUIRE(a != b, "capacitor terminals must differ");
 }
 
-void Capacitor::set_capacitance(double farads) {
-  ECMS_REQUIRE(farads >= 0.0, "capacitance must be non-negative");
-  comp_.set_capacitance(farads);
-}
-
-void Capacitor::stamp(const StampContext& ctx, MnaView& a_mat,
-                      std::span<double> b_vec) const {
-  comp_.stamp(ctx, a_, b_, a_mat, b_vec);
-}
-
 void Capacitor::init_state(const StampContext& ctx) {
   comp_.init_state(ctx, a_, b_);
 }

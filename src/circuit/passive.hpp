@@ -32,7 +32,16 @@ class Capacitor : public Device {
   Capacitor(std::string name, NodeId a, NodeId b, double farads);
 
   void stamp(const StampContext& ctx, MnaView& a_mat,
-             std::span<double> b_vec) const override;
+             std::span<double> b_vec) const override {
+    stamp_into(ctx, a_mat, b_vec);
+  }
+  /// The body of stamp(), templated over the matrix sink: MnaView on the
+  /// scalar path, SlotCursor in the batch engine's lane loop.
+  template <class Sink>
+  void stamp_into(const StampContext& ctx, Sink& a_mat,
+                  std::span<double> b_vec) const {
+    comp_.stamp(ctx, a_, b_, a_mat, b_vec);
+  }
   void init_state(const StampContext& ctx) override;
   void accept_step(const StampContext& ctx) override;
   double probe_current(const StampContext& ctx) const override;
@@ -44,7 +53,6 @@ class Capacitor : public Device {
   }
 
   double capacitance() const { return comp_.capacitance(); }
-  void set_capacitance(double farads);
   NodeId a() const { return a_; }
   NodeId b() const { return b_; }
 

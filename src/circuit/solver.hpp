@@ -109,8 +109,8 @@ class SparseEngine final : public StampSink {
   double pivot_ratio() const { return lu_.pivot_ratio(); }
   /// The pivot order this engine actually factors with (adopted or locally
   /// computed; null before the first assemble/factor). The batch engine
-  /// compares this against its shared symbolic to decide whether a lane may
-  /// ride the vector kernels or must solve through this engine directly.
+  /// compares this against the cached program's order when a lane joins:
+  /// a lane on any other order retires to the scalar path.
   const std::shared_ptr<const LuSymbolic>& lu_symbolic() const {
     return lu_.symbolic();
   }

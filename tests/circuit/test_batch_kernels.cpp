@@ -2,14 +2,18 @@
 // on randomized MNA-shaped systems: the vector refactor / triangular solves
 // must reproduce the scalar backend's results to the last bit at every lane
 // width, on both the dispatched and the forced-scalar backend, and a
-// degraded (fault-injected) lane must be flagged by first_degraded_row()
-// without contaminating its neighbors.
+// degraded (fault-injected) lane must be flagged by pivot_health() — on
+// every backend exactly as the per-lane replica of SparseLu::refactor()'s
+// check below decides — without contaminating its neighbors.
 #include "circuit/kernels.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "circuit/sparse.hpp"
@@ -64,6 +68,38 @@ SparseMatrix matrix_of(std::size_t n, const std::vector<Entry>& es) {
   auto vals = m.values();
   for (const auto& e : es) vals[m.slot(e.r, e.c)] += e.v;
   return m;
+}
+
+// The oracle: SparseLu::refactor()'s pivot-health early return replayed on
+// one lane of an SoA U — the first permuted row whose pivot is non-finite,
+// exactly zero, or below the threshold times the row max, or -1.
+long first_degraded_row(const LuSymbolic& sy, const double* u,
+                        std::size_t width, std::size_t lane) {
+  for (std::size_t i = 0; i < sy.n; ++i) {
+    double rmax = 0.0;
+    for (std::uint32_t s = sy.u_ptr[i]; s < sy.u_ptr[i + 1]; ++s) {
+      const double v = u[static_cast<std::size_t>(s) * width + lane];
+      rmax = std::max(rmax, std::abs(v));
+    }
+    const double piv =
+        u[static_cast<std::size_t>(sy.u_ptr[i]) * width + lane];
+    const double mag = std::abs(piv);
+    if (!std::isfinite(piv) || mag == 0.0 ||
+        mag < kernels::kRepivotThreshold * rmax) {
+      return static_cast<long>(i);
+    }
+  }
+  return -1;
+}
+
+// pivot_health() of `kk` over all lanes.
+std::vector<std::uint8_t> health(const kernels::Kernels& kk,
+                                 const LuSymbolic& sy,
+                                 const std::vector<double>& u,
+                                 std::size_t width) {
+  std::vector<std::uint8_t> flags(width, 0xff);
+  kk.pivot_health(sy, u.data(), width, flags.data());
+  return flags;
 }
 
 ::testing::AssertionResult bits_equal(double a, double b) {
@@ -126,8 +162,10 @@ void run_round(const kernels::Kernels& kk, std::size_t width,
     }
   }
   kk.refactor(sy, a.data(), l_vals.data(), u_vals.data(), work.data(), width);
+  const std::vector<std::uint8_t> flags = health(kk, sy, u_vals, width);
   for (std::size_t l = 0; l < width; ++l) {
-    EXPECT_EQ(kernels::first_degraded_row(sy, u_vals.data(), width, l), -1);
+    EXPECT_EQ(first_degraded_row(sy, u_vals.data(), width, l), -1);
+    EXPECT_EQ(flags[l], 0) << "lane " << l;
   }
   kk.solve(sy, l_vals.data(), u_vals.data(), pb.data(), width);
   for (std::size_t l = 0; l < width; ++l) {
@@ -203,12 +241,15 @@ TEST_F(BatchKernelT, DegradedLaneIsFlaggedAndConfined) {
 
   const kernels::Kernels& kk = kernels::active();
   kk.refactor(sy, a.data(), l_vals.data(), u_vals.data(), work.data(), width);
+  const std::vector<std::uint8_t> flags = health(kk, sy, u_vals, width);
   for (std::size_t l = 0; l < width; ++l) {
-    const long row = kernels::first_degraded_row(sy, u_vals.data(), width, l);
+    const long row = first_degraded_row(sy, u_vals.data(), width, l);
     if (l == bad) {
       EXPECT_GE(row, 0) << "singular lane must be flagged";
+      EXPECT_EQ(flags[l], 1);
     } else {
       EXPECT_EQ(row, -1) << "lane " << l;
+      EXPECT_EQ(flags[l], 0) << "lane " << l;
     }
   }
   // The scalar engine agrees the bad lane's refactor is degraded.
@@ -232,6 +273,70 @@ TEST_F(BatchKernelT, DegradedLaneIsFlaggedAndConfined) {
           << "lane " << l;
     }
   }
+
+  // Every backend's flags equal the oracle at widths 1-17 (vector bodies,
+  // tails, and tails alone), with each lane of each width given one of the
+  // cases below at a random row: pivots that are zero, NaN, +-inf or below
+  // the threshold (and just above it), and NaN or inf entries off the
+  // pivot — a NaN off the pivot is skipped by the row max, an inf one makes
+  // every finite pivot of its row degraded.
+  std::vector<const kernels::Kernels*> backends = {&kernels::scalar()};
+  if (kernels::vector_available()) backends.push_back(kernels::avx2_kernels());
+  // The healthy U: a width-1 refactor of m0.
+  std::vector<double> healthy(sy.u_cols.size()), l1(sy.l_cols.size()),
+      w1(n);
+  kernels::scalar().refactor(sy, m0.values().data(), l1.data(),
+                             healthy.data(), w1.data(), 1);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  constexpr int kCases = 10;
+  Rng crng(1234);
+  std::size_t flagged = 0, clean = 0;
+  for (std::size_t w = 1; w <= 17; ++w) {
+    std::vector<double> u(sy.u_cols.size() * w);
+    for (std::size_t s = 0; s < healthy.size(); ++s) {
+      for (std::size_t l = 0; l < w; ++l) u[s * w + l] = healthy[s];
+    }
+    for (std::size_t l = 0; l < w; ++l) {
+      const int c = static_cast<int>((l + w) % kCases);
+      const std::size_t row = crng.uniform_index(sy.n);
+      const std::uint32_t p = sy.u_ptr[row];
+      const std::uint32_t row_len = sy.u_ptr[row + 1] - p;
+      double rmax = 0.0;
+      for (std::uint32_t s = p; s < p + row_len; ++s) {
+        rmax = std::max(rmax, std::abs(healthy[s]));
+      }
+      // An off-pivot entry of the row (the pivot itself when it is alone).
+      const std::uint32_t off = row_len > 1 ? p + 1 : p;
+      double* piv = &u[static_cast<std::size_t>(p) * w + l];
+      double* other = &u[static_cast<std::size_t>(off) * w + l];
+      switch (c) {
+        case 0: break;  // healthy
+        case 1: *piv = 0.0; break;
+        case 2: *piv = -0.0; break;
+        case 3: *piv = nan; break;
+        case 4: *piv = inf; break;
+        case 5: *piv = -inf; break;
+        case 6: *piv = 0.5 * kernels::kRepivotThreshold * rmax; break;
+        case 7: *piv = -2.0 * kernels::kRepivotThreshold * rmax; break;
+        case 8: *other = nan; break;
+        case 9: *other = -inf; break;
+      }
+    }
+    for (const kernels::Kernels* kb : backends) {
+      const std::vector<std::uint8_t> got = health(*kb, sy, u, w);
+      for (std::size_t l = 0; l < w; ++l) {
+        const bool want = first_degraded_row(sy, u.data(), w, l) >= 0;
+        EXPECT_EQ(got[l], want ? 1 : 0)
+            << kb->name << " width " << w << " lane " << l << " case "
+            << (l + w) % kCases;
+        (want ? flagged : clean) += 1;
+      }
+    }
+  }
+  // Both outcomes were exercised.
+  EXPECT_GT(flagged, 0u);
+  EXPECT_GT(clean, 0u);
 }
 
 TEST_F(BatchKernelT, CopyAndDiagAddMatchScalar) {

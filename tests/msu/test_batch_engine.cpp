@@ -1,19 +1,30 @@
 // Batched lockstep extraction (DESIGN.md §14): the golden contract that
 // extract_array with batch_width > 1 produces results bit-identical to the
 // scalar per-cell path — exhaustive and adaptive flows, forced-scalar
-// kernels, fault-injected cells retiring to the scalar path, and the
-// engagement predicate that keeps hooked / cache-less plans off the batch
-// entirely.
+// kernels, a varied array tile at full and ragged widths, a pre-published
+// program the batch must ride, fault-injected cells retiring to the scalar
+// path, equal solver counters, and the engagement predicate that keeps
+// hooked / cache-less plans off the batch entirely. One engine-level case
+// drives circuit::BatchEngine over every device type against scalar
+// transient() sample by sample.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
+#include <map>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "circuit/batch.hpp"
 #include "circuit/kernels.hpp"
+#include "circuit/program.hpp"
 #include "fault/fault.hpp"
 #include "msu/batch_extract.hpp"
 #include "msu/extract.hpp"
+#include "obs/metrics.hpp"
+#include "serve/workload.hpp"
 #include "tech/tech.hpp"
 
 namespace ecms::msu {
@@ -61,9 +72,53 @@ void expect_identical(const RobustExtraction& batched,
   EXPECT_EQ(batched.report.failures.size(), scalar.report.failures.size());
 }
 
+// One 4x4 tile of the benchmark's 16x16 array (seed 7, gradient 0.3): a
+// varied tile, not a uniform one.
+edram::MacroCell array16_tile() {
+  serve::ArraySpec spec;
+  spec.rows = 16;
+  spec.cols = 16;
+  spec.seed = 7;
+  spec.gradient = 0.3;
+  return serve::build_array(spec).tile(4, 8, 4, 4);
+}
+
+// The solver counters a batched run must report exactly as the scalar run.
+const char* const kSolverCounters[] = {
+    "circuit.newton.solves",         "circuit.newton.iterations",
+    "circuit.lu.numeric",            "circuit.lu.symbolic",
+    "circuit.assemble.restamps",     "circuit.assemble.static_hits",
+    "circuit.transient.solves",      "circuit.transient.resumes",
+    "circuit.transient.accepted_steps"};
+
+// Counter deltas of one extraction into `out`, metrics armed.
+std::map<std::string, std::uint64_t> counted_run(const edram::MacroCell& mc,
+                                                 const ExtractPlan& plan,
+                                                 RobustExtraction& out) {
+  obs::set_metrics_enabled(true);
+  const auto before = obs::Registry::global().snapshot().counters;
+  out = extract_array(mc, {}, plan);
+  const auto after = obs::Registry::global().snapshot().counters;
+  obs::set_metrics_enabled(false);
+  auto value = [](const auto& counters, const std::string& name) {
+    const auto it = counters.find(name);
+    return it == counters.end() ? std::uint64_t{0} : it->second;
+  };
+  std::vector<std::string> names(std::begin(kSolverCounters),
+                                 std::end(kSolverCounters));
+  names.push_back("circuit.batch.retired");
+  names.push_back("circuit.batch.scalar_fallbacks");
+  std::map<std::string, std::uint64_t> delta;
+  for (const auto& n : names) delta[n] = value(after, n) - value(before, n);
+  return delta;
+}
+
 class BatchEngineT : public ::testing::Test {
  protected:
-  void TearDown() override { circuit::kernels::set_force_scalar(false); }
+  void TearDown() override {
+    circuit::kernels::set_force_scalar(false);
+    obs::set_metrics_enabled(false);
+  }
 };
 
 TEST_F(BatchEngineT, EngagementPredicateGatesTheBatchPath) {
@@ -213,6 +268,206 @@ TEST_F(BatchEngineT, NonSquareArrayChunksCoverEveryCell) {
   const auto batched = extract_array(mc, {}, plan);
   expect_identical(batched, scalar);
   EXPECT_EQ(batched.results.size(), 6u);
+}
+
+TEST_F(BatchEngineT, SolverCountersEqualScalarPath) {
+  // The lane-native path counts its own restamps, static hits and
+  // refactors; with the lane engines' discovery and bootstrap solve they
+  // must add up to exactly the scalar run's counts. Each run gets a cold
+  // cache so both compile the program once.
+  const auto mc = array16_tile();
+  circuit::ProgramCache scalar_cache, batch_cache;
+  ExtractPlan scalar_plan = single_attempt_plan();
+  scalar_plan.options.adaptive.enabled = true;
+  scalar_plan.options.newton.solver.program_cache = &scalar_cache;
+  ExtractPlan plan = scalar_plan;
+  plan.batch_width = 16;
+  plan.options.newton.solver.program_cache = &batch_cache;
+
+  RobustExtraction scalar, batched;
+  const auto want = counted_run(mc, scalar_plan, scalar);
+  const auto got = counted_run(mc, plan, batched);
+  expect_identical(batched, scalar);
+  for (const char* name : kSolverCounters) {
+    EXPECT_EQ(got.at(name), want.at(name)) << name;
+  }
+  EXPECT_GT(got.at("circuit.lu.numeric"), 0u);
+  EXPECT_EQ(got.at("circuit.lu.symbolic"), 1u);
+  // One bootstrap solve (the cache was cold), no retirements.
+  EXPECT_EQ(got.at("circuit.batch.scalar_fallbacks"), 1u);
+  EXPECT_EQ(got.at("circuit.batch.retired"), 0u);
+}
+
+TEST_F(BatchEngineT, VariedTileBitIdenticalAtFullRaggedAndScalarKernels) {
+  // Adaptive scheduling on, as the array workload runs: one chunk of 16,
+  // chunks of 5 (a tail that is not a multiple of the AVX2 width, and a
+  // final chunk of 1), and the forced-scalar kernels.
+  const auto mc = array16_tile();
+  ExtractPlan scalar_plan = single_attempt_plan();
+  scalar_plan.options.adaptive.enabled = true;
+  const auto scalar = extract_array(mc, {}, scalar_plan);
+  for (int width : {16, 5}) {
+    ExtractPlan plan = scalar_plan;
+    plan.batch_width = width;
+    SCOPED_TRACE("batch_width=" + std::to_string(width));
+    expect_identical(extract_array(mc, {}, plan), scalar);
+  }
+  ExtractPlan plan = scalar_plan;
+  plan.batch_width = 16;
+  circuit::kernels::set_force_scalar(true);
+  const auto forced = extract_array(mc, {}, plan);
+  circuit::kernels::set_force_scalar(false);
+  SCOPED_TRACE("forced scalar kernels");
+  expect_identical(forced, scalar);
+}
+
+TEST_F(BatchEngineT, RidesAPrePublishedProgramWithAnotherPivotOrder) {
+  // A program compiled from other values (a 1 fF array) sits in the cache
+  // before the run, and its pivot order differs from the one lane 0 would
+  // compute. Every lane adopts and rides it, as every scalar cell does:
+  // codes and solver counters match the scalar run on the same cache
+  // state, nothing bootstraps, and at most lane 0 may leave the batch.
+  const auto mc = mc2x2();
+  auto compiled = [](const edram::MacroCell& m) {
+    circuit::ProgramCache cache;
+    ExtractPlan p = single_attempt_plan();
+    p.options.newton.solver.program_cache = &cache;
+    extract_array(m, {}, p);
+    const auto entries = cache.entries();
+    EXPECT_EQ(entries.size(), 1u);
+    return entries.front().second;
+  };
+  const auto natural = compiled(mc);
+  const auto other = compiled(mc2x2(1e-15));
+  ASSERT_EQ(natural->key, other->key);
+  ASSERT_TRUE(natural->symbolic->perm_row != other->symbolic->perm_row ||
+              natural->symbolic->perm_col != other->symbolic->perm_col)
+      << "the pre-published order must differ from lane 0's";
+
+  circuit::ProgramCache scalar_cache, batch_cache;
+  scalar_cache.insert(other->key, other);
+  batch_cache.insert(other->key, other);
+  ExtractPlan scalar_plan = single_attempt_plan();
+  scalar_plan.options.newton.solver.program_cache = &scalar_cache;
+  ExtractPlan plan = scalar_plan;
+  plan.batch_width = 4;
+  plan.options.newton.solver.program_cache = &batch_cache;
+
+  RobustExtraction scalar, batched;
+  const auto want = counted_run(mc, scalar_plan, scalar);
+  const auto got = counted_run(mc, plan, batched);
+  expect_identical(batched, scalar);
+  EXPECT_EQ(got.at("circuit.batch.scalar_fallbacks"), 0u);
+  EXPECT_LE(got.at("circuit.batch.retired"), 1u);
+  for (const char* name : kSolverCounters) {
+    EXPECT_EQ(got.at(name), want.at(name)) << name;
+  }
+}
+
+// A small netlist with every device type: an EKV inverter driving an RC
+// load, a level-1 pair, a diode clamp, a voltage-controlled switch and a
+// current source. `k` varies element values per lane; `c_extra` may be 0,
+// which drops that capacitor's stamps from the coordinate stream.
+void build_every_device(circuit::Circuit& c, int k, double c_extra) {
+  using namespace circuit;
+  const double f = 1.0 + 0.07 * k;
+  const NodeId vdd = c.node("vdd"), in = c.node("in"), out = c.node("out");
+  const NodeId mid = c.node("mid"), mid2 = c.node("mid2");
+  c.add_vsource("VDD", vdd, kGround, SourceWave::dc(1.8));
+  c.add_vsource("VIN", in, kGround,
+                SourceWave::pulse(0.0, 1.8, 0.2e-9, 1.0e-9, 0.1e-9));
+  MosParams pe = tech::tech018().pmos(2e-6 * f, 0.18e-6);
+  MosParams ne = tech::tech018().nmos(1e-6 * f, 0.18e-6);
+  c.add_mosfet("MP", out, in, vdd, vdd, pe);
+  c.add_mosfet("MN", out, in, kGround, kGround, ne);
+  c.add_capacitor("CL", out, kGround, 10e-15 * f);
+  c.add_resistor("R1", out, mid, 20e3 * f);
+  c.add_capacitor("CX", mid, kGround, c_extra);
+  MosParams n1 = ne, p1 = pe;
+  n1.model = MosModel::kLevel1;
+  p1.model = MosModel::kLevel1;
+  c.add_mosfet("MN1", mid, in, kGround, kGround, n1);
+  c.add_mosfet("MP1", mid2, out, vdd, vdd, p1);
+  c.add_capacitor("C2", mid2, kGround, 5e-15);
+  c.add_diode("D1", mid2, mid, {});
+  c.add_switch("S1", mid2, kGround, in, kGround, {.r_on = 5e3 * f});
+  c.add_isource("I1", kGround, mid2,
+                SourceWave::pulse(0.0, 2e-6 * f, 0.5e-9, 1.5e-9, 0.1e-9));
+}
+
+TEST_F(BatchEngineT, EveryDeviceTypeMatchesScalarTransientSampleBySample) {
+  constexpr std::size_t kLanes = 6, kZeroCapLane = 2;
+  circuit::ProgramCache cache;
+  circuit::TranParams tp;
+  tp.t_stop = 2e-9;
+  tp.dt = 20e-12;
+  tp.uic = true;
+  tp.grow_until = 0.8e-9;
+  tp.grow_cap = 4.0;
+  tp.newton.solver.program_cache = &cache;
+
+  auto cap_of = [&](std::size_t k) {
+    return k == kZeroCapLane ? 0.0 : 3e-15 * (1.0 + 0.1 * k);
+  };
+  std::vector<std::unique_ptr<circuit::Circuit>> ckts;
+  std::vector<circuit::Circuit*> lanes;
+  for (std::size_t k = 0; k < kLanes; ++k) {
+    ckts.push_back(std::make_unique<circuit::Circuit>());
+    build_every_device(*ckts.back(), static_cast<int>(k), cap_of(k));
+    lanes.push_back(ckts.back().get());
+  }
+  circuit::BatchEngine::Options bo;
+  bo.step = tp.schedule();
+  bo.newton = tp.newton;
+  circuit::BatchEngine eng(lanes, bo);
+  std::vector<std::vector<std::pair<double, std::vector<double>>>> got(
+      kLanes);
+  eng.advance(tp.t_stop, [&](std::size_t lane, double t,
+                             std::span<const double> x) {
+    got[lane].emplace_back(t, std::vector<double>(x.begin(), x.end()));
+  });
+
+  const std::vector<std::string> nodes = {"vdd", "in", "out", "mid", "mid2"};
+  auto scalar_run = [&](circuit::Circuit& c) {
+    return circuit::transient(c, tp, {.nodes = nodes, .device_currents = {}});
+  };
+  for (std::size_t k = 0; k < kLanes; ++k) {
+    SCOPED_TRACE("lane " + std::to_string(k));
+    circuit::Circuit fresh;
+    build_every_device(fresh, static_cast<int>(k), cap_of(k));
+    const circuit::TranResult ref = scalar_run(fresh);
+    if (k == kZeroCapLane) {
+      // Its coordinate stream differs from the program the batch rides.
+      EXPECT_EQ(eng.state(k), circuit::BatchEngine::LaneState::kRetired);
+      // Re-measured on the scalar path from the lane's own circuit, it
+      // reproduces a fresh scalar run exactly.
+      const circuit::TranResult again = scalar_run(*ckts[k]);
+      ASSERT_EQ(again.trace.sample_count(), ref.trace.sample_count());
+      for (std::size_t c = 0; c < nodes.size(); ++c) {
+        for (std::size_t i = 0; i < ref.trace.sample_count(); ++i) {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(again.trace.channel(c)[i]),
+                    std::bit_cast<std::uint64_t>(ref.trace.channel(c)[i]));
+        }
+      }
+      continue;
+    }
+    ASSERT_EQ(eng.state(k), circuit::BatchEngine::LaneState::kActive)
+        << eng.retire_reason(k);
+    ASSERT_EQ(got[k].size(), ref.trace.sample_count());
+    EXPECT_EQ(eng.stats(k).accepted_steps, ref.stats.accepted_steps);
+    EXPECT_EQ(eng.stats(k).newton_iterations, ref.stats.newton_iterations);
+    for (std::size_t i = 0; i < got[k].size(); ++i) {
+      ASSERT_EQ(got[k][i].first, ref.trace.times()[i]) << "sample " << i;
+      for (std::size_t c = 0; c < nodes.size(); ++c) {
+        const auto id = static_cast<std::size_t>(fresh.find_node(nodes[c]));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got[k][i].second[id - 1]),
+                  std::bit_cast<std::uint64_t>(ref.trace.channel(c)[i]))
+            << "sample " << i << " node " << nodes[c];
+      }
+    }
+    // The branch currents of the last sample, too.
+    EXPECT_EQ(got[k].back().second, ref.final_x);
+  }
 }
 
 }  // namespace
