@@ -7,12 +7,16 @@
 // lane widths 1/4/8/16, on both the runtime-dispatched backend and the
 // forced-scalar fallback. Numbers are reported *per lane*: the vector payoff
 // is the scalar column divided by the dispatched column at the same width.
+// A second table prices the MOSFET lane kernel (kernels::ekv) the same way
+// on random biases, and one line compares the deterministic det_exp /
+// det_log1p with libm's std::exp / std::log1p per call.
 //
 // --json FILE writes the numbers as one flat object (the CI artifact shape
 // bench_array_scale uses); --size N picks the macro-cell (default 8).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -21,12 +25,14 @@
 #include <utility>
 #include <vector>
 
+#include "circuit/detmath.hpp"
 #include "circuit/kernels.hpp"
 #include "circuit/netlist.hpp"
 #include "circuit/solver.hpp"
 #include "edram/netlister.hpp"
 #include "tech/tech.hpp"
 #include "util/fileio.hpp"
+#include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
@@ -166,6 +172,78 @@ PhaseTimes run_width(const System& s, const circuit::kernels::Kernels& kk,
   return t;
 }
 
+/// ns per lane of one kernels::ekv backend at one width: the REF-sized
+/// n-MOSFET of tech018 at random terminal voltages in [0, 1.8] V.
+double ekv_ns_per_lane(const circuit::kernels::Kernels& kk, std::size_t width) {
+  const circuit::MosParams p = tech::tech018().nmos(2e-6, 0.5e-6);
+  const circuit::MosConsts k = circuit::mos_consts(p);
+  Rng rng(width);
+  std::vector<double> v(9 * width);
+  for (std::size_t i = 0; i < 4 * width; ++i) v[i] = rng.uniform(0.0, 1.8);
+  double* m = v.data();
+  const circuit::kernels::MosLanes io = {
+      m,             m + width,     m + 2 * width, m + 3 * width, m + 4 * width,
+      m + 5 * width, m + 6 * width, m + 7 * width, m + 8 * width};
+  constexpr int kReps = 20000;
+  const double us = time_us_per_rep(kReps, [&] {
+    kk.ekv(p, k, io, width);
+    benchmark::DoNotOptimize(v.data());
+  });
+  return 1e3 * us / static_cast<double>(width);
+}
+
+/// ns per call of `fn` over `xs` (summed so no call is dropped).
+template <typename Fn>
+double ns_per_call(const std::vector<double>& xs, Fn&& fn) {
+  constexpr int kReps = 200;
+  double sum = 0.0;
+  const double us = time_us_per_rep(kReps, [&] {
+    for (const double x : xs) sum += fn(x);
+    benchmark::DoNotOptimize(sum);
+  });
+  return 1e3 * us / static_cast<double>(xs.size());
+}
+
+void run_ekv(JsonSink& json) {
+  Table table({"width", "backend", "ekv (ns/lane)"});
+  for (std::size_t width : {1u, 4u, 8u, 16u}) {
+    const double v = ekv_ns_per_lane(circuit::kernels::active(), width);
+    const double sc = ekv_ns_per_lane(circuit::kernels::scalar(), width);
+    const std::string w = std::to_string(width);
+    table.add_row({w, circuit::kernels::vector_available() ? "vector"
+                                                           : "scalar",
+                   Table::num(v, 1)});
+    table.add_row({w, "scalar", Table::num(sc, 1)});
+    json.add("batch_ekv_ns_w" + w, v);
+    json.add("batch_scalar_ekv_ns_w" + w, sc);
+  }
+  std::printf("MOSFET lane kernel (kernels::ekv), REF n-MOSFET, random "
+              "biases\n");
+  std::cout << table << '\n';
+
+  // ekv_f's arguments: exp on x = u/2 in [-37, 37], log1p on e^x.
+  Rng rng(5);
+  std::vector<double> xs(4096), es(4096);
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    xs[i] = rng.uniform(-37.0, 37.0);
+    es[i] = std::exp(xs[i]);
+  }
+  const double det_exp =
+      ns_per_call(xs, [](double x) { return circuit::detmath::det_exp(x); });
+  const double std_exp = ns_per_call(xs, [](double x) { return std::exp(x); });
+  const double det_log1p = ns_per_call(
+      es, [](double x) { return circuit::detmath::det_log1p(x); });
+  const double std_log1p =
+      ns_per_call(es, [](double x) { return std::log1p(x); });
+  std::printf("det_exp %.2f ns/call vs std::exp %.2f; det_log1p %.2f ns/call "
+              "vs std::log1p %.2f\n\n",
+              det_exp, std_exp, det_log1p, std_log1p);
+  json.add("det_exp_ns", det_exp);
+  json.add("std_exp_ns", std_exp);
+  json.add("det_log1p_ns", det_log1p);
+  json.add("std_log1p_ns", std_log1p);
+}
+
 void run_bench(std::size_t n, const std::string& json_path) {
   const System s = build_system(n);
   std::printf("batched SoA kernels on the bare %zux%zu array netlist "
@@ -203,6 +281,7 @@ void run_bench(std::size_t n, const std::string& json_path) {
     json.add("batch_scalar_solve_us_w" + w, sc.solve_us);
   }
   std::cout << table << '\n';
+  run_ekv(json);
 
   if (!json_path.empty()) {
     if (json.write(json_path)) {

@@ -38,6 +38,7 @@ BatchEngine::BatchEngine(std::span<Circuit* const> lanes, const Options& opts)
   u_soa_.bind(&arena_);
   work_soa_.bind(&arena_);
   pb_soa_.bind(&arena_);
+  mos_soa_.bind(&arena_);
 
   lanes[0]->finalize();
   n_ = lanes[0]->unknown_count();
@@ -426,8 +427,10 @@ bool BatchEngine::join() {
   }
 
   // Per-device plans from the verified reference lane.
+  const std::size_t W = lanes_.size();
   const auto& ref_devs = ref_lane->ckt->devices();
   plans_.resize(ref_devs.size());
+  mosfets_.assign(ref_devs.size() * W, nullptr);
   dyn_devs_.clear();
   for (std::size_t d = 0; d < plans_.size(); ++d) {
     const Device& dev = *ref_devs[d];
@@ -441,9 +444,20 @@ bool BatchEngine::join() {
     p.d_begin = d == 0 ? 0 : ref.d_end[d - 1];
     p.d_end = ref.d_end[d];
     if (p.nonlinear) dyn_devs_.push_back(static_cast<std::uint32_t>(d));
+    if (p.kind != DevKind::kMosfet) continue;
+    // One kernels::ekv call serves all lanes only when they carry the
+    // reference lane's parameters bit for bit (cells of one array do).
+    const MosParams& mp = static_cast<const Mosfet&>(dev).params();
+    p.shared_params = true;
+    for (std::size_t li = 0; li < W; ++li) {
+      const Lane& L = lanes_[li];
+      if (L.state != LaneState::kActive) continue;
+      const auto& m = static_cast<const Mosfet&>(*L.ckt->devices()[d]);
+      mosfets_[d * W + li] = &m;
+      p.shared_params = p.shared_params && identical(mp, m.params());
+    }
   }
 
-  const std::size_t W = lanes_.size();
   const auto premultiply = [W](const std::vector<std::uint32_t>& slots,
                                std::vector<std::uint32_t>& out) {
     out.resize(slots.size());
@@ -461,6 +475,7 @@ bool BatchEngine::join() {
   u_soa_.resize(sy.u_cols.size() * W);
   work_soa_.resize(sy.n * W);
   pb_soa_.resize(sy.n * W);
+  mos_soa_.resize(kMosLanesArrays * W);
   degraded_.assign(W, 0);
   return true;
 }
@@ -481,8 +496,7 @@ void BatchEngine::restamp_static(bool count) {
       const auto& devs = L.ckt->devices();
       if (p.kind == DevKind::kMosfet) {
         SlotCursor cur{slots, static_soa_.data() + li};
-        static_cast<const Mosfet&>(*devs[d])
-            .stamp_static_into(L.ctx, cur, L.b_static);
+        mosfets_[d * W + li]->stamp_static_into(L.ctx, cur, L.b_static);
       } else if (p.kind == DevKind::kCapacitor) {
         SlotCursor cur{slots, static_soa_.data() + li};
         static_cast<const Capacitor&>(*devs[d])
@@ -513,31 +527,73 @@ void BatchEngine::restamp_static(bool count) {
 }
 
 void BatchEngine::stamp_dynamic() {
-  kernels::active().copy(a_soa_.data(), static_soa_.data(), a_soa_.size());
+  const kernels::Kernels& kk = kernels::active();
+  kk.copy(a_soa_.data(), static_soa_.data(), a_soa_.size());
   for (const std::size_t li : step_lanes_) {
     Lane& L = lanes_[li];
     std::copy(L.b_static.begin(), L.b_static.end(), L.b_work.begin());
   }
+  // MOSFET operands: the step lanes' terminal voltages and evaluations,
+  // element [j] for step lane j.
+  const std::size_t W = lanes_.size();
+  double* mos = mos_soa_.data();
+  const kernels::MosLanes io = {mos,         mos + W,     mos + 2 * W,
+                                mos + 3 * W, mos + 4 * W, mos + 5 * W,
+                                mos + 6 * W, mos + 7 * W, mos + 8 * W};
+  double* vg = mos;
+  double* vd = mos + W;
+  double* vs = mos + 2 * W;
+  double* vb = mos + 3 * W;
+  const std::size_t n_step = step_lanes_.size();
   for (const std::uint32_t d : dyn_devs_) {
     const DevPlan& p = plans_[d];
     const std::uint32_t* slots = dynamic_slots_w_.data() + p.d_begin;
+    if (p.kind == DevKind::kMosfet) {
+      const Mosfet* const* lane_mos = mosfets_.data() + d * W;
+      const auto mosfet = [&](std::size_t j) -> const Mosfet& {
+        return *lane_mos[step_lanes_[j]];
+      };
+      for (std::size_t j = 0; j < n_step; ++j) {
+        const StampContext& ctx = lanes_[step_lanes_[j]].ctx;
+        const Mosfet& m = mosfet(j);
+        vg[j] = ctx.v(m.gate());
+        vd[j] = ctx.v(m.drain());
+        vs[j] = ctx.v(m.source());
+        vb[j] = ctx.v(m.bulk());
+      }
+      if (p.shared_params) {
+        kk.ekv(mosfet(0).params(), mosfet(0).consts(), io, n_step);
+      } else {
+        // Lanes with their own parameters: one lane per call.
+        for (std::size_t j = 0; j < n_step; ++j) {
+          const kernels::MosLanes one = {
+              vg + j,      vd + j,      vs + j,      vb + j,     io.ids + j,
+              io.d_vg + j, io.d_vd + j, io.d_vs + j, io.d_vb + j};
+          kk.ekv(mosfet(j).params(), mosfet(j).consts(), one, 1);
+        }
+      }
+      for (std::size_t j = 0; j < n_step; ++j) {
+        const std::size_t li = step_lanes_[j];
+        Lane& L = lanes_[li];
+        if (L.state != LaneState::kActive) continue;
+        const MosEval e{io.ids[j], io.d_vg[j], io.d_vd[j], io.d_vs[j],
+                        io.d_vb[j]};
+        SlotCursor cur{slots, a_soa_.data() + li};
+        mosfet(j).stamp_eval_into(e, vg[j], vd[j], vs[j], vb[j], cur,
+                                  L.b_work);
+      }
+      continue;
+    }
     for (const std::size_t li : step_lanes_) {
       Lane& L = lanes_[li];
       if (L.state != LaneState::kActive) continue;
-      const auto& devs = L.ckt->devices();
-      if (p.kind == DevKind::kMosfet) {
-        SlotCursor cur{slots, a_soa_.data() + li};
-        static_cast<const Mosfet&>(*devs[d])
-            .stamp_into(L.ctx, cur, L.b_work);
-      } else {
-        ReplayTape rt = lane_tape(prog_->dynamic_coords, dynamic_slots_w_,
-                                  p.d_begin, p.d_end, a_soa_.data() + li);
-        MnaView view(rt);
-        devs[d]->stamp(L.ctx, view, L.b_work);
-        if (rt.diverged || rt.cursor != rt.size) {
-          retire(li, "stamp sequence diverged from the program",
-                 /*divergence=*/true);
-        }
+      ReplayTape rt = lane_tape(prog_->dynamic_coords, dynamic_slots_w_,
+                                p.d_begin, p.d_end, a_soa_.data() + li);
+      MnaView view(rt);
+      L.ckt->devices()[d]->stamp(L.ctx, view, L.b_work);
+      if (rt.diverged || rt.cursor != rt.size) {
+        retire(li, "stamp sequence diverged from the program",
+               /*divergence=*/true);
       }
     }
   }

@@ -16,11 +16,15 @@
 // are idle: every lane is stamped straight into the SoA operands, device by
 // device. MOSFETs and capacitors (nearly all stamps) walk all lanes per
 // device through a SlotCursor over the program's premultiplied slots,
-// sharing the scalar path's stamp bodies (Mosfet::stamp_into & co.), so
-// the add order per slot is the scalar one by construction; every other
-// device goes through the verifying ReplayTape. The static image is SoA
-// too: restamped once per point for all lanes, restored with one
-// kernels::copy per Newton iteration.
+// sharing the scalar path's stamp bodies (Mosfet::stamp_eval_into & co.),
+// so the add order per slot is the scalar one by construction; every other
+// device goes through the verifying ReplayTape. A MOSFET's channel is
+// evaluated for all step lanes in one kernels::ekv call over their gathered
+// terminal voltages, bit-identical to mos_eval(), when every lane carries
+// the same parameters bit for bit (decided at the join; cells of one array
+// do), and one lane per call otherwise. The static image is SoA too:
+// restamped once per point for all lanes, restored with one kernels::copy
+// per Newton iteration.
 //
 // Precondition: lane circuits are immutable for the batch's lifetime (no
 // device is added, removed, rewired or re-valued between construction and
@@ -150,6 +154,9 @@ class BatchEngine {
     bool nonlinear = false;
     std::uint32_t s_begin = 0, s_end = 0;  ///< static tape range
     std::uint32_t d_begin = 0, d_end = 0;  ///< dynamic tape range
+    /// MOSFET whose parameters are bit-identical on every lane: one
+    /// kernels::ekv call evaluates all lanes, else one call per lane.
+    bool shared_params = false;
   };
 
   struct Lane {
@@ -203,6 +210,10 @@ class BatchEngine {
   std::shared_ptr<const NetlistProgram> prog_;
   std::vector<DevPlan> plans_;             ///< per device, stamp order
   std::vector<std::uint32_t> dyn_devs_;    ///< nonlinear device indices
+  /// [device * width + lane]: the lane's Mosfet (null for other devices
+  /// and lanes retired before the join), one load instead of a walk
+  /// through the lane's circuit in the per-iteration loops.
+  std::vector<const Mosfet*> mosfets_;
   // The program's tape slots premultiplied by the width.
   std::vector<std::uint32_t> static_slots_w_, dynamic_slots_w_;
   std::vector<std::size_t> step_lanes_;  ///< lanes solved this iteration
@@ -210,6 +221,9 @@ class BatchEngine {
   // SoA kernel operands, [slot * width + lane].
   util::ArenaBuf<double> static_soa_, a_soa_, l_soa_, u_soa_, work_soa_,
       pb_soa_;
+  /// kernels::MosLanes' nine arrays of `width` doubles, back to back.
+  static constexpr std::size_t kMosLanesArrays = 9;
+  util::ArenaBuf<double> mos_soa_;
   double t_ = 0.0;
   double dt_ = 0.0;  ///< running step size
   bool force_be_ = true;

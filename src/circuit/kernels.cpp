@@ -12,9 +12,9 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Scalar backend: the reference implementation. Per lane this is literally
-// SparseLu::refactor()/solve_in_place() with an extra inner lane loop; the
-// AVX2 backend (kernels_avx2.cpp) replicates the identical op order 4 lanes
-// at a time.
+// mos_eval_with() and SparseLu::refactor()/solve_in_place() with an extra
+// inner lane loop; the AVX2 backend (kernels_avx2.cpp) replicates the
+// identical op order 4 lanes at a time.
 // ---------------------------------------------------------------------------
 
 void refactor_scalar(const LuSymbolic& sy, const double* a, double* l,
@@ -109,7 +109,21 @@ void diag_add_scalar(double* values, const std::uint32_t* slots,
   }
 }
 
-constexpr Kernels kScalar = {"scalar", refactor_scalar, solve_scalar,
+void ekv_scalar(const MosParams& p, const MosConsts& k, const MosLanes& io,
+                std::size_t w) {
+  for (std::size_t i = 0; i < w; ++i) {
+    const MosEval e =
+        mos_eval_with(p, k, io.vg[i], io.vd[i], io.vs[i], io.vb[i]);
+    io.ids[i] = e.ids;
+    io.d_vg[i] = e.d_vg;
+    io.d_vd[i] = e.d_vd;
+    io.d_vs[i] = e.d_vs;
+    io.d_vb[i] = e.d_vb;
+  }
+}
+
+constexpr Kernels kScalar = {"scalar",        ekv_scalar,
+                             refactor_scalar, solve_scalar,
                              pivot_health_scalar, copy_scalar,
                              diag_add_scalar};
 

@@ -1,11 +1,11 @@
 // Batched SoA kernels for the lockstep cell simulator (DESIGN.md §14).
 //
 // The batch engine advances K cells that share one NetlistProgram; its hot
-// loops — the numeric refactorization over the frozen pivot order, its
-// pivot-health check, the forward/backward triangular solves, and the
-// static-image restore copy — operate on structure-of-arrays value storage,
-// element (slot, lane) at `a[slot * width + lane]`, so one instruction
-// stream serves every lane.
+// loops — the MOSFET channel evaluation, the numeric refactorization over
+// the frozen pivot order, its pivot-health check, the forward/backward
+// triangular solves, and the static-image restore copy — operate on
+// structure-of-arrays value storage, element (slot, lane) at
+// `a[slot * width + lane]`, so one instruction stream serves every lane.
 //
 // Bit-identity contract: a vector kernel performs, per lane, exactly the
 // floating-point operations of the scalar SparseLu path in exactly the same
@@ -18,7 +18,10 @@
 // the scalar < and ==. No FMA contraction on either side (the build forces
 // -ffp-contract=off), so scalar and vector lanes agree to the last ulp on
 // every host, and the scalar fallback is not a degraded mode but the same
-// function computed 1 lane at a time.
+// function computed 1 lane at a time. ekv() holds the same contract against
+// mos_eval(): the model's exp/log1p are the in-house det_exp/det_log1p
+// (circuit/detmath.hpp), built from the same correctly rounded operations
+// and exact bit manipulations, which the AVX2 lanes repeat.
 //
 // Dispatch: resolved once at first use from the host CPU (AVX2 on x86-64,
 // scalar otherwise), overridable for tests and benches via
@@ -29,13 +32,39 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "circuit/mosfet.hpp"
 #include "circuit/sparse.hpp"
 
 namespace ecms::circuit::kernels {
 
+/// Per-lane operands of the ekv kernel: terminal voltages in, the
+/// channel current and its derivatives out, element [lane] of each array.
+struct MosLanes {
+  const double* vg;
+  const double* vd;
+  const double* vs;
+  const double* vb;
+  double* ids;
+  double* d_vg;
+  double* d_vd;
+  double* d_vs;
+  double* d_vb;
+};
+
 /// One kernel backend. All array arguments are SoA unless noted.
 struct Kernels {
   const char* name;  ///< "scalar", "avx2"
+
+  /// One MOSFET (parameters p, constants k == mos_consts(p)) evaluated for
+  /// `width` lanes: lane i gets mos_eval_with(p, k, vg[i], vd[i], vs[i],
+  /// vb[i]), bit for bit (a NaN result is NaN on both, its sign and payload
+  /// unspecified: they follow the operand order the compiler picks for a
+  /// commutative op when two NaNs meet). The scalar backend is that call
+  /// per lane; the vector backend computes the EKV model several lanes per
+  /// instruction (PMOS mirrored in the kernel) and hands Level-1 devices to
+  /// the scalar backend.
+  void (*ekv)(const MosParams& p, const MosConsts& k, const MosLanes& io,
+              std::size_t width);
 
   /// Numeric refactorization of all `width` lanes over the frozen pivot
   /// order: per permuted row, scatter A, eliminate against finished rows in

@@ -4,9 +4,16 @@
 //
 // Bit-identity: values use only lanewise vaddpd/vsubpd/vmulpd/vdivpd — each
 // IEEE-754 correctly rounded, so every lane computes exactly what the scalar
-// backend computes. No FMA (vfmadd would contract mul+sub into one
+// backend computes — plus, in the EKV kernel, exact integer and bit
+// operations on the representation and lane blends that select between
+// results computed in full. No FMA (vfmadd would contract mul+sub into one
 // rounding). pivot_health's vmaxpd takes |v| as its first operand so a NaN
 // entry yields the running max, as std::max(rmax, |v|) does (kernels.hpp).
+//
+// Nothing here calls an inline function shared with other translation units
+// (such as detmath.hpp's det_exp): a copy built with -mavx2 could be the one
+// the linker keeps. The EKV helpers re-spell those functions from their
+// constants instead.
 #include "circuit/kernels.hpp"
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -14,11 +21,283 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <iterator>
+
+#include "circuit/detmath.hpp"
 
 namespace ecms::circuit::kernels {
 
 namespace {
+
+// The EKV kernel's arithmetic: N vectors of four lanes as one value, so
+// the expressions below read as their scalar originals (same operators,
+// same association) while every statement advances N independent
+// dependency chains; the evaluation is latency-bound, and the two chains
+// of a MOSFET's forward and reverse EKV terms overlap. Every operation is
+// lanewise: + - * / are vaddpd/vsubpd/vmulpd/vdivpd, a double operand is
+// broadcast.
+template <int N>
+struct V {
+  __m256d v[N];
+};
+template <int N>
+struct VI {  // 64-bit integer lanes
+  __m256i v[N];
+};
+
+// Intrinsics as functors: passed as plain function pointers they would be
+// called out of line.
+#define ECMS_OP(intrinsic) [](auto a, auto b) { return intrinsic(a, b); }
+#define ECMS_OP1(intrinsic) [](auto a) { return intrinsic(a); }
+
+template <class L, class Op>
+[[gnu::always_inline]] inline L lanewise(L a, L b, Op op) {
+  L r;
+  for (std::size_t j = 0; j < std::size(r.v); ++j) r.v[j] = op(a.v[j], b.v[j]);
+  return r;
+}
+template <class R, class L, class Op>
+[[gnu::always_inline]] inline R map(L a, Op op) {
+  R r;
+  for (std::size_t j = 0; j < std::size(r.v); ++j) r.v[j] = op(a.v[j]);
+  return r;
+}
+template <int N>
+[[gnu::always_inline]] inline V<N> splat(double d) {
+  return map<V<N>>(V<N>{}, [d](__m256d) { return _mm256_set1_pd(d); });
+}
+template <int N>
+[[gnu::always_inline]] inline VI<N> splat_i(long long v) {
+  return map<VI<N>>(VI<N>{}, [v](__m256i) { return _mm256_set1_epi64x(v); });
+}
+template <int N>
+[[gnu::always_inline]] inline VI<N> bits_of(V<N> a) {
+  return map<VI<N>>(a, ECMS_OP1(_mm256_castpd_si256));
+}
+template <int N>
+[[gnu::always_inline]] inline V<N> from_bits(VI<N> a) {
+  return map<V<N>>(a, ECMS_OP1(_mm256_castsi256_pd));
+}
+#define ECMS_OPERATOR(op, intrinsic)                                    \
+  template <int N>                                                      \
+  [[gnu::always_inline]] inline V<N> operator op(V<N> a, V<N> b) {      \
+    return lanewise(a, b, ECMS_OP(intrinsic));                          \
+  }                                                                     \
+  template <int N>                                                      \
+  [[gnu::always_inline]] inline V<N> operator op(V<N> a, double b) {    \
+    return a op splat<N>(b);                                            \
+  }                                                                     \
+  template <int N>                                                      \
+  [[gnu::always_inline]] inline V<N> operator op(double a, V<N> b) {    \
+    return splat<N>(a) op b;                                            \
+  }
+ECMS_OPERATOR(+, _mm256_add_pd)
+ECMS_OPERATOR(-, _mm256_sub_pd)
+ECMS_OPERATOR(*, _mm256_mul_pd)
+ECMS_OPERATOR(/, _mm256_div_pd)
+#undef ECMS_OPERATOR
+// Exact negation (the sign bit flipped), as unary minus is in scalar code.
+template <int N>
+[[gnu::always_inline]] inline V<N> operator-(V<N> a) {
+  return lanewise(a, splat<N>(-0.0), ECMS_OP(_mm256_xor_pd));
+}
+// Lane mask of `a CMP b` (all ones where true); ordered predicates are
+// false for NaN lanes, as the scalar <, > and == are.
+template <int CMP, int N>
+[[gnu::always_inline]] inline V<N> cmp(V<N> a, double b) {
+  return lanewise(a, splat<N>(b), [](__m256d x, __m256d y) {
+    return _mm256_cmp_pd(x, y, CMP);
+  });
+}
+// where ? b : a, per lane.
+template <int N>
+[[gnu::always_inline]] inline V<N> select(V<N> a, V<N> b, V<N> where) {
+  V<N> r;
+  for (int j = 0; j < N; ++j) {
+    r.v[j] = _mm256_blendv_pd(a.v[j], b.v[j], where.v[j]);
+  }
+  return r;
+}
+
+// 64-bit integer lanes: + - & | wrap as the scalar std::uint64_t ones do
+// (a long long operand is broadcast), shifts are logical.
+#define ECMS_INT_OPERATOR(op, intrinsic)                                  \
+  template <int N>                                                        \
+  [[gnu::always_inline]] inline VI<N> operator op(VI<N> a, VI<N> b) {     \
+    return lanewise(a, b, ECMS_OP(intrinsic));                            \
+  }                                                                       \
+  template <int N>                                                        \
+  [[gnu::always_inline]] inline VI<N> operator op(VI<N> a, long long b) { \
+    return a op splat_i<N>(b);                                            \
+  }
+ECMS_INT_OPERATOR(+, _mm256_add_epi64)
+ECMS_INT_OPERATOR(-, _mm256_sub_epi64)
+ECMS_INT_OPERATOR(&, _mm256_and_si256)
+ECMS_INT_OPERATOR(|, _mm256_or_si256)
+#undef ECMS_INT_OPERATOR
+template <int S, int N>
+[[gnu::always_inline]] inline VI<N> shl(VI<N> a) {
+  return map<VI<N>>(a, [](__m256i x) { return _mm256_slli_epi64(x, S); });
+}
+template <int S, int N>
+[[gnu::always_inline]] inline VI<N> shr(VI<N> a) {
+  return map<VI<N>>(a, [](__m256i x) { return _mm256_srli_epi64(x, S); });
+}
+// All ones where a > b (signed).
+template <int N>
+[[gnu::always_inline]] inline VI<N> greater(VI<N> a, long long b) {
+  return lanewise(a, splat_i<N>(b), ECMS_OP(_mm256_cmpgt_epi64));
+}
+template <int N>
+[[gnu::always_inline]] inline V<N> gather(const double* table, VI<N> index) {
+  return map<V<N>>(index, [table](__m256i i) {
+    return _mm256_i64gather_pd(table, i, 8);
+  });
+}
+
+// detmath::det_exp: the scalar branches (one scale or two, NaN,
+// overflow, underflow) become blends over values computed in full; table
+// indices are masked into range for every lane, whatever its x.
+template <int N>
+[[gnu::always_inline]] inline V<N> det_exp(V<N> x) {
+  using namespace detmath;
+  const V<N> t = x * kInvLn2N + kShifter;
+  const VI<N> k = bits_of(t) - std::bit_cast<long long>(kShifter);
+  const V<N> kd = t - kShifter;
+  const V<N> r = (x - kd * kLn2HiN) - kd * kLn2LoN;
+  const V<N> r2 = r * r;
+  const VI<N> j = k & static_cast<long long>(kExpTableSize - 1);
+  const V<N> tmp = gather(kExpTable.tail.data(), j) + r +
+                   r2 * (kExpC2 + r * kExpC3) +
+                   r2 * r2 * (kExpC4 + r * kExpC5);
+  // top = floor(k / N) and half = floor(top / 2) by logical shifts of
+  // k + 2^30 (AVX2 has no 64-bit arithmetic shift; |k| < 2^18).
+  constexpr long long kBias = 1LL << 30;
+  const VI<N> biased = shr<kExpTableBits>(k + kBias);
+  const VI<N> top = biased - (kBias >> kExpTableBits);
+  const VI<N> half = shr<1>(biased) - (kBias >> (kExpTableBits + 1));
+  const VI<N> hi_bits = bits_of(gather(kExpTable.hi.data(), j));
+  const V<N> one = from_bits(hi_bits + shl<52>(top));
+  const V<N> two = from_bits(hi_bits + shl<52>(top - half));
+  const V<N> in_one = lanewise(cmp<_CMP_LT_OQ>(x, kExpOneScaleBelow),
+                               cmp<_CMP_GT_OQ>(x, -kExpOneScaleBelow),
+                               ECMS_OP(_mm256_and_pd));
+  V<N> res = select((two + two * tmp) * from_bits(shl<52>(half + 1023)),
+                    one + one * tmp, in_one);
+  res = select(res, splat<N>(0.0), cmp<_CMP_LT_OQ>(x, kExpUnderflow));
+  res = select(res, splat<N>(__builtin_inf()),
+               cmp<_CMP_GT_OQ>(x, kExpOverflow));
+  return select(res, x, cmp<_CMP_UNORD_Q>(x, 0.0));
+}
+
+// detmath::det_log1p; the pass-through of +-0, +inf and NaN is a final
+// blend.
+template <int N>
+[[gnu::always_inline]] inline V<N> det_log1p(V<N> x) {
+  using namespace detmath;
+  const V<N> u = 1.0 + x;
+  const VI<N> e = shr<52>(bits_of(u)) - 1023;
+  const V<N> c =
+      select(x - (u - 1.0), 1.0 - (u - x), from_bits(greater(e, 0))) / u;
+  const VI<N> m = bits_of(u) & static_cast<long long>(kMantissaMask);
+  const VI<N> upper = greater(m, static_cast<long long>(kSqrt2Mantissa - 1));
+  // kOneBits, or kHalfBits = kOneBits - 2^52 where upper (mask -1).
+  const V<N> f = from_bits(m | (shl<52>(upper) +
+                                static_cast<long long>(kOneBits))) -
+                 1.0;
+  // k = e + 1 where upper, converted exactly through the shifter: the
+  // bits of kShifter + k as a double, minus kShifter.
+  const V<N> kd =
+      from_bits((e - upper) + std::bit_cast<long long>(kShifter)) - kShifter;
+  const V<N> hfsq = 0.5 * f * f;
+  const V<N> s = f / (2.0 + f);
+  const V<N> z = s * s;
+  const V<N> z2 = z * z;
+  const V<N> p = ((kLp1 + z * kLp2) + z2 * (kLp3 + z * kLp4)) +
+                 z2 * z2 * ((kLp5 + z * kLp6) + z2 * kLp7);
+  const V<N> sr = s * hfsq + (s * z) * p;
+  const V<N> res = kd * kLn2Hi - (((hfsq - (kd * kLn2Lo + c)) - sr) - f);
+  const V<N> pass = lanewise(cmp<_CMP_NLT_UQ>(x, __builtin_inf()),
+                             cmp<_CMP_EQ_OQ>(x, 0.0), ECMS_OP(_mm256_or_pd));
+  return select(res, x, pass);
+}
+
+// mosfet.cpp's ekv_f: both tails become blends over the middle branch,
+// which is computed for every lane.
+template <int N>
+[[gnu::always_inline]] inline void ekv_f(V<N> u, V<N>& f, V<N>& df) {
+  const V<N> x = 0.5 * u;
+  const V<N> e = det_exp(x);
+  const V<N> l = det_log1p(e);
+  const V<N> ee = e * e;
+  const V<N> low = cmp<_CMP_LT_OQ>(x, -37.0);
+  const V<N> high = cmp<_CMP_GT_OQ>(x, 37.0);
+  f = select(select(l * l, ee, low), x * x, high);
+  df = select(select(l * (e / (1.0 + e)), ee, low), x, high);
+}
+
+// mosfet.cpp's eval_ncore (EKV branch) for the `n` <= 4 lanes from lane i
+// of `io`, inputs mirrored and the current negated for PMOS as
+// mos_eval_with() does. A short group loads and stores through a lane mask
+// (its missing lanes read as 0 V and are never written). Operands travel by
+// pointer: a function that takes or returns a vector gets no vzeroupper
+// from GCC, and a dirty upper YMM state left behind slows every later SSE
+// instruction in the process (libm's exp by ~30x).
+void ekv_lanes(const MosParams& p, const MosConsts& k, const MosLanes& io,
+               std::size_t i, std::size_t n) {
+  const __m256i mask = _mm256_cmpgt_epi64(
+      _mm256_set1_epi64x(static_cast<long long>(n)),
+      _mm256_setr_epi64x(0, 1, 2, 3));
+  const bool pmos = p.type == MosType::kPmos;
+  auto load = [&](const double* src) {
+    const V<1> r = {n == 4 ? _mm256_loadu_pd(src + i)
+                           : _mm256_maskload_pd(src + i, mask)};
+    return pmos ? -r : r;
+  };
+  auto store = [&](double* dst, V<1> r) {
+    if (n == 4) {
+      _mm256_storeu_pd(dst + i, r.v[0]);
+    } else {
+      _mm256_maskstore_pd(dst + i, mask, r.v[0]);
+    }
+  };
+  const V<1> vg = load(io.vg), vd = load(io.vd), vs = load(io.vs),
+             vb = load(io.vb);
+  const double vt = k.vt;
+  const V<1> vp = (vg - vb - p.vth0) / p.n_slope;
+  // uf and ur ride through ekv_f together: two independent chains.
+  const V<1> uf = (vp - (vs - vb)) / vt;
+  const V<1> ur = (vp - (vd - vb)) / vt;
+  V<2> f, df;
+  ekv_f(V<2>{{uf.v[0], ur.v[0]}}, f, df);
+  const V<1> ff = {f.v[0]}, fr = {f.v[1]}, dff = {df.v[0]}, dfr = {df.v[1]};
+  const V<1> vds = vd - vs;
+  const V<1> clm = 1.0 + p.lambda * vds;
+  const V<1> ids0 = k.is * (ff - fr);
+  const V<1> ids = ids0 * clm;
+  const V<1> a = k.is * clm;
+  store(io.ids, pmos ? -ids : ids);
+  store(io.d_vg, a * (dff - dfr) / k.n_vt);
+  store(io.d_vd, a * dfr / vt + ids0 * p.lambda);
+  store(io.d_vs, -a * dff / vt - ids0 * p.lambda);
+  store(io.d_vb, a * (dff - dfr) * k.n_m1 / k.n_vt);
+}
+
+#undef ECMS_OP
+#undef ECMS_OP1
+
+void ekv_avx2(const MosParams& p, const MosConsts& k, const MosLanes& io,
+              std::size_t w) {
+  if (p.model != MosModel::kEkv) {
+    scalar().ekv(p, k, io, w);
+    return;
+  }
+  for (std::size_t i = 0; i < w; i += 4) {
+    ekv_lanes(p, k, io, i, std::min<std::size_t>(4, w - i));
+  }
+}
 
 void refactor_avx2(const LuSymbolic& sy, const double* a, double* l,
                    double* u, double* work, std::size_t w) {
@@ -185,8 +464,9 @@ void diag_add_avx2(double* values, const std::uint32_t* slots,
   }
 }
 
-constexpr Kernels kAvx2 = {"avx2", refactor_avx2, solve_avx2,
-                           pivot_health_avx2, copy_avx2, diag_add_avx2};
+constexpr Kernels kAvx2 = {"avx2",     ekv_avx2,          refactor_avx2,
+                           solve_avx2, pivot_health_avx2, copy_avx2,
+                           diag_add_avx2};
 
 }  // namespace
 

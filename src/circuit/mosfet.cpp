@@ -1,39 +1,40 @@
 #include "circuit/mosfet.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
+#include "circuit/detmath.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
 
 namespace ecms::circuit {
 
-namespace {
-
 // EKV interpolation function F(u) = ln^2(1 + e^{u/2}) and its derivative
-// F'(u) = ln(1 + e^{u/2}) * sigmoid(u/2). One exp() serves both factors:
+// F'(u) = ln(1 + e^{u/2}) * sigmoid(u/2). One exp serves both factors:
 // with e = e^x, ln(1 + e^x) = log1p(e) and sigmoid(x) = e / (1 + e). This
 // evaluation sits on the per-iteration assembly path of every MOSFET in the
 // netlist, so the transcendental count matters; the saturated tails keep
-// the usual numerically stable forms.
-struct Interp {
-  double f;
-  double df;
-};
-Interp ekv_f(double u) {
+// the usual numerically stable forms. exp/log1p are the deterministic
+// det_exp/det_log1p (detmath.hpp); kernels_avx2.cpp repeats this function
+// lane by lane, the two tails as per-lane blends.
+EkvInterp ekv_f(double u) {
   const double x = 0.5 * u;
   if (x > 37.0) {
     // e^x >> 1: ln(1 + e^x) = x and sigmoid(x) = 1 to double precision.
     return {x * x, x};
   }
-  const double e = std::exp(x);
+  const double e = detmath::det_exp(x);
   if (x < -37.0) {
     // e^x < eps/2: ln(1 + e^x) = e^x and sigmoid(x) = e^x to double
     // precision (1 + e rounds to 1).
     return {e * e, e * e};
   }
-  const double l = std::log1p(e);
+  const double l = detmath::det_log1p(e);
   return {l * l, l * (e / (1.0 + e))};
 }
+
+namespace {
 
 // n-type core evaluation (both models); voltages are absolute.
 MosEval eval_ncore(const MosParams& p, const MosConsts& k, double vg,
@@ -114,6 +115,8 @@ MosEval eval_ncore(const MosParams& p, const MosConsts& k, double vg,
   return e;
 }
 
+}  // namespace
+
 MosConsts mos_consts(const MosParams& p) {
   MosConsts k;
   k.vt = phys::thermal_voltage(p.temp_k);
@@ -125,9 +128,8 @@ MosConsts mos_consts(const MosParams& p) {
   return k;
 }
 
-// mos_eval with the constants already derived (k == mos_consts(p)).
-MosEval eval_with(const MosParams& p, const MosConsts& k, double vg,
-                  double vd, double vs, double vb) {
+MosEval mos_eval_with(const MosParams& p, const MosConsts& k, double vg,
+                      double vd, double vs, double vb) {
   if (p.type == MosType::kNmos) return eval_ncore(p, k, vg, vd, vs, vb);
   // PMOS: mirror all voltages, evaluate the n-core, negate the current.
   // d(-I(-v))/dv = +dI/dv' so derivatives carry over unchanged.
@@ -141,11 +143,23 @@ MosEval eval_with(const MosParams& p, const MosConsts& k, double vg,
   return e;
 }
 
-}  // namespace
+bool identical(const MosParams& a, const MosParams& b) {
+  static_assert(sizeof(MosParams) == 2 * sizeof(MosType) + 11 * sizeof(double),
+                "identical() must compare every MosParams field");
+  const auto same = [](double x, double y) {
+    return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+  };
+  return a.type == b.type && a.model == b.model && same(a.w, b.w) &&
+         same(a.l, b.l) && same(a.kp, b.kp) && same(a.vth0, b.vth0) &&
+         same(a.lambda, b.lambda) && same(a.n_slope, b.n_slope) &&
+         same(a.temp_k, b.temp_k) && same(a.cox_per_area, b.cox_per_area) &&
+         same(a.cov_per_w, b.cov_per_w) && same(a.cj_per_area, b.cj_per_area) &&
+         same(a.diff_len, b.diff_len);
+}
 
 MosEval mos_eval(const MosParams& p, double vg, double vd, double vs,
                  double vb) {
-  return eval_with(p, mos_consts(p), vg, vd, vs, vb);
+  return mos_eval_with(p, mos_consts(p), vg, vd, vs, vb);
 }
 
 double mos_ids(const MosParams& p, double vgs, double vds) {
@@ -172,26 +186,11 @@ Mosfet::Mosfet(std::string name, NodeId d, NodeId g, NodeId s, NodeId b,
   csb_.set_capacitance(p_.c_junction());
 }
 
-template <class Sink>
-void Mosfet::stamp_into(const StampContext& ctx, Sink& a_mat,
-                        std::span<double> b_vec) const {
+void Mosfet::stamp(const StampContext& ctx, MnaView& a_mat,
+                   std::span<double> b_vec) const {
   const double vg = ctx.v(g_), vd = ctx.v(d_), vs = ctx.v(s_), vb = ctx.v(b_);
-  const MosEval e = eval_with(p_, k_, vg, vd, vs, vb);
-
-  // Newton companion for the channel current I(d->s):
-  // I ~ I0 + sum_k dI/dvk (vk - vk0).
-  auto stamp_pair = [&](NodeId col, double g) {
-    if (col == kGround) return;
-    if (d_ != kGround) a_mat.add(unknown_of(d_), unknown_of(col), g);
-    if (s_ != kGround) a_mat.add(unknown_of(s_), unknown_of(col), -g);
-  };
-  stamp_pair(g_, e.d_vg);
-  stamp_pair(d_, e.d_vd);
-  stamp_pair(s_, e.d_vs);
-  stamp_pair(b_, e.d_vb);
-  const double ieq =
-      e.ids - e.d_vg * vg - e.d_vd * vd - e.d_vs * vs - e.d_vb * vb;
-  stamp_current(b_vec, d_, s_, ieq);
+  stamp_eval_into(mos_eval_with(p_, k_, vg, vd, vs, vb), vg, vd, vs, vb,
+                  a_mat, b_vec);
 }
 
 template <class Sink>
@@ -211,10 +210,6 @@ void Mosfet::stamp_static_into(const StampContext& ctx, Sink& a_mat,
   csb_.stamp(ctx, s_, b_, a_mat, b_vec);
 }
 
-template void Mosfet::stamp_into(const StampContext&, MnaView&,
-                                 std::span<double>) const;
-template void Mosfet::stamp_into(const StampContext&, SlotCursor&,
-                                 std::span<double>) const;
 template void Mosfet::stamp_static_into(const StampContext&, MnaView&,
                                         std::span<double>) const;
 template void Mosfet::stamp_static_into(const StampContext&, SlotCursor&,
@@ -237,7 +232,7 @@ void Mosfet::accept_step(const StampContext& ctx) {
 }
 
 double Mosfet::probe_current(const StampContext& ctx) const {
-  return eval_with(p_, k_, ctx.v(g_), ctx.v(d_), ctx.v(s_), ctx.v(b_)).ids;
+  return mos_eval_with(p_, k_, ctx.v(g_), ctx.v(d_), ctx.v(s_), ctx.v(b_)).ids;
 }
 
 void Mosfet::save_state(std::vector<double>& out) const {

@@ -5,7 +5,11 @@
 //    and monotonic across subthreshold / triode / saturation. Smoothness is
 //    what makes Newton converge reliably on the measurement structure, where
 //    the REF transistor's gate sits anywhere between 0 V and VDD after charge
-//    sharing — including right at threshold.
+//    sharing — including right at threshold. Its exp/log1p are the in-house
+//    det_exp/det_log1p (circuit/detmath.hpp), not libm: the same bits on
+//    every host, and the batch engine's AVX2 lane kernel (kernels::ekv)
+//    evaluates many cells' copies of one device bit-identically to
+//    mos_eval().
 //  * kLevel1: classic SPICE level-1 (Shichman–Hodges) piecewise square law,
 //    kept as a cross-check so tests can validate the EKV curve against the
 //    textbook regions.
@@ -74,11 +78,32 @@ struct MosConsts {
   double n_m1 = 0.0;  ///< n - 1 (linearized body effect)
 };
 
+/// The EKV interpolation F(u) = ln^2(1 + e^{u/2}) and its derivative
+/// F'(u), the transcendental core of the kEkv channel model (mosfet.cpp).
+struct EkvInterp {
+  double f;
+  double df;
+};
+EkvInterp ekv_f(double u);
+
+/// The constants of `p` (the function every evaluation derives them with).
+MosConsts mos_consts(const MosParams& p);
+
+/// True when every field of `a` and `b` has the same bits: devices that
+/// share one lane-kernel evaluation must have identical parameters.
+bool identical(const MosParams& a, const MosParams& b);
+
 /// Evaluates the channel current for terminal voltages (absolute, any
 /// reference). Exposed as a free function so the behavioral fast model and
 /// tests can share the exact same I-V surface as the transient simulator.
 MosEval mos_eval(const MosParams& p, double vg, double vd, double vs,
                  double vb);
+
+/// mos_eval() with the constants already derived (k == mos_consts(p)): the
+/// one evaluation behind mos_eval, Mosfet stamps and probes, and the scalar
+/// lane kernel.
+MosEval mos_eval_with(const MosParams& p, const MosConsts& k, double vg,
+                      double vd, double vs, double vb);
 
 /// Convenience: drain saturation-ish current at a given Vgs with Vds = vds,
 /// Vsb = 0 (used by the ramp-ADC fast model).
@@ -90,22 +115,25 @@ class Mosfet : public Device {
   Mosfet(std::string name, NodeId d, NodeId g, NodeId s, NodeId b,
          MosParams params);
 
+  /// Evaluates the channel at the iterate and stamps its Newton companion.
   void stamp(const StampContext& ctx, MnaView& a_mat,
-             std::span<double> b_vec) const override {
-    stamp_into(ctx, a_mat, b_vec);
-  }
+             std::span<double> b_vec) const override;
   /// gmin tie and the five intrinsic capacitances (iterate-independent).
   void stamp_static(const StampContext& ctx, MnaView& a_mat,
                     std::span<double> b_vec) const override {
     stamp_static_into(ctx, a_mat, b_vec);
   }
-  /// The bodies of stamp() and stamp_static(), templated over the matrix
-  /// sink: MnaView on the scalar path, SlotCursor in the batch engine's
-  /// lane loop. One body per stamp means one add order per slot on both
-  /// paths. Instantiated for those two sinks in mosfet.cpp.
+  /// The stamp bodies, templated over the matrix sink: MnaView on the
+  /// scalar path, SlotCursor in the batch engine's lane loops. One body per
+  /// stamp means one add order per slot on both paths. stamp_eval_into()
+  /// stamps the companion of an evaluation `e` taken at terminal voltages
+  /// (vg, vd, vs, vb) — stamp() passes mos_eval_with() at the iterate, the
+  /// batch engine one lane of kernels::ekv; it is defined below so both
+  /// inline it. stamp_static_into() is instantiated for the two sinks in
+  /// mosfet.cpp.
   template <class Sink>
-  void stamp_into(const StampContext& ctx, Sink& a_mat,
-                  std::span<double> b_vec) const;
+  void stamp_eval_into(const MosEval& e, double vg, double vd, double vs,
+                       double vb, Sink& a_mat, std::span<double> b_vec) const;
   template <class Sink>
   void stamp_static_into(const StampContext& ctx, Sink& a_mat,
                          std::span<double> b_vec) const;
@@ -118,6 +146,7 @@ class Mosfet : public Device {
   std::size_t restore_state(std::span<const double> in) override;
 
   const MosParams& params() const { return p_; }
+  const MosConsts& consts() const { return k_; }
   NodeId drain() const { return d_; }
   NodeId gate() const { return g_; }
   NodeId source() const { return s_; }
@@ -129,5 +158,25 @@ class Mosfet : public Device {
   MosConsts k_;  // mos_consts(p_); parameters never change after construction
   CapCompanion cgs_, cgd_, cgb_, cdb_, csb_;
 };
+
+template <class Sink>
+inline void Mosfet::stamp_eval_into(const MosEval& e, double vg, double vd,
+                                    double vs, double vb, Sink& a_mat,
+                                    std::span<double> b_vec) const {
+  // Newton companion for the channel current I(d->s):
+  // I ~ I0 + sum_k dI/dvk (vk - vk0).
+  auto stamp_pair = [&](NodeId col, double g) {
+    if (col == kGround) return;
+    if (d_ != kGround) a_mat.add(unknown_of(d_), unknown_of(col), g);
+    if (s_ != kGround) a_mat.add(unknown_of(s_), unknown_of(col), -g);
+  };
+  stamp_pair(g_, e.d_vg);
+  stamp_pair(d_, e.d_vd);
+  stamp_pair(s_, e.d_vs);
+  stamp_pair(b_, e.d_vb);
+  const double ieq =
+      e.ids - e.d_vg * vg - e.d_vd * vd - e.d_vs * vs - e.d_vb * vb;
+  stamp_current(b_vec, d_, s_, ieq);
+}
 
 }  // namespace ecms::circuit

@@ -122,12 +122,13 @@ TranResult run_transient(Circuit& ckt, const TranParams& params,
     for (const auto& d : ckt.devices()) d->init_state(ctx);
   }
 
+  std::vector<double> row;
+  row.reserve(channel_names.size());
   auto record = [&](double t, std::span<const double> xs) {
     StampContext ctx;
     ctx.x = xs;
     ctx.time = t;
-    std::vector<double> row;
-    row.reserve(channel_names.size());
+    row.clear();
     for (NodeId n : probe_nodes) row.push_back(ctx.v(n));
     for (const Device* d : probe_devs) row.push_back(d->probe_current(ctx));
     res.trace.append(t, row);

@@ -25,7 +25,7 @@ const std::vector<double>& Trace::channel(const std::string& name) const {
   return data_[channel_index(name)];
 }
 
-void Trace::append(double t, const std::vector<double>& values) {
+void Trace::append(double t, std::span<const double> values) {
   ECMS_REQUIRE(values.size() == names_.size(), "trace sample arity mismatch");
   ECMS_REQUIRE(times_.empty() || t >= times_.back(),
                "trace times must be non-decreasing");

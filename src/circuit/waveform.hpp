@@ -1,7 +1,9 @@
 // Recorded transient traces and measurements on them.
 #pragma once
 
+#include <initializer_list>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,7 +25,12 @@ class Trace {
   std::size_t channel_index(const std::string& name) const;
 
   /// Appends one sample row; values arity must match channel_count().
-  void append(double t, const std::vector<double>& values);
+  /// Takes any contiguous row (a reused buffer, a fixed array) or a
+  /// braced list, so recording a sample allocates nothing per row.
+  void append(double t, std::span<const double> values);
+  void append(double t, std::initializer_list<double> values) {
+    append(t, std::span<const double>(values.begin(), values.size()));
+  }
 
   /// Linear interpolation of a channel at time t (clamped at the ends).
   double value_at(std::size_t chan, double t) const;

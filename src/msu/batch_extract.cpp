@@ -1,6 +1,7 @@
 #include "msu/batch_extract.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <memory>
 #include <optional>
@@ -53,8 +54,8 @@ struct Slot {
 
 // The per-step trace row, exactly as run_transient's `record` computes it:
 // probed node voltages first, then the device current.
-std::vector<double> probe_row(const Slot& s, double t,
-                              std::span<const double> x) {
+std::array<double, 5> probe_row(const Slot& s, double t,
+                                std::span<const double> x) {
   circuit::StampContext ctx;
   ctx.x = x;
   ctx.time = t;

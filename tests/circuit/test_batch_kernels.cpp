@@ -4,7 +4,9 @@
 // width, on both the dispatched and the forced-scalar backend, and a
 // degraded (fault-injected) lane must be flagged by pivot_health() — on
 // every backend exactly as the per-lane replica of SparseLu::refactor()'s
-// check below decides — without contaminating its neighbors.
+// check below decides — without contaminating its neighbors. The MOSFET
+// lane kernel (ekv) must reproduce mos_eval() to the last bit on every
+// backend, across the EKV tails and at non-finite terminal voltages.
 #include "circuit/kernels.hpp"
 
 #include <gtest/gtest.h>
@@ -16,7 +18,9 @@
 #include <limits>
 #include <vector>
 
+#include "circuit/mosfet.hpp"
 #include "circuit/sparse.hpp"
+#include "tech/tech.hpp"
 #include "util/rng.hpp"
 
 namespace ecms::circuit {
@@ -362,6 +366,183 @@ TEST_F(BatchKernelT, CopyAndDiagAddMatchScalar) {
   for (std::size_t i = 0; i < vals_v.size(); ++i) {
     EXPECT_TRUE(bits_equal(vals_v[i], vals_s[i]));
   }
+}
+
+struct Bias {
+  double vg, vd, vs, vb;
+};
+
+// The x = u/2 the n-core hands ekv_f for the forward (uf, from vs) or the
+// reverse (ur, from vd) term: the expressions of mosfet.cpp's eval_ncore.
+double ekv_x(const MosParams& p, const Bias& b, bool reverse) {
+  const MosConsts k = mos_consts(p);
+  const double vp = (b.vg - b.vb - p.vth0) / p.n_slope;
+  const double u = (vp - ((reverse ? b.vd : b.vs) - b.vb)) / k.vt;
+  return 0.5 * u;
+}
+
+// `b` with vs (forward) or vd (reverse) moved, one ulp at a time, until
+// the term's x equals `target` exactly; false when no double lands on it.
+bool land_on(const MosParams& p, Bias& b, bool reverse, double target) {
+  double& v = reverse ? b.vd : b.vs;
+  const MosConsts k = mos_consts(p);
+  const double vp = (b.vg - b.vb - p.vth0) / p.n_slope;
+  v = vp - 2.0 * target * k.vt + b.vb;  // the real-arithmetic solution
+  const double start = v;
+  for (const double dir : {-1e300, 1e300}) {
+    v = start;
+    for (int i = 0; i < 256; ++i, v = std::nextafter(v, dir)) {
+      if (ekv_x(p, b, reverse) == target) return true;
+    }
+  }
+  return false;
+}
+
+// NMOS-frame biases covering the EKV branches: x beyond, on and next to
+// +-37 for both terms, deep subthreshold down to e^x underflowing (x below
+// -745), random operating points, and NaN / +-inf on every terminal.
+std::vector<Bias> ekv_cases(const MosParams& p) {
+  std::vector<Bias> cases;
+  for (const bool reverse : {false, true}) {
+    for (const double target : {37.0, -37.0}) {
+      Bias b = {target > 0 ? 3.5 : 0.2, 0.9, 0.0, 0.0};
+      EXPECT_TRUE(land_on(p, b, reverse, target))
+          << (reverse ? "ur" : "uf") << " " << target;
+      cases.push_back(b);
+      double& v = reverse ? b.vd : b.vs;
+      const double on = v;
+      for (int step = 1; step <= 2; ++step) {
+        v = on;
+        for (int i = 0; i < step; ++i) v = std::nextafter(v, 1e300);
+        cases.push_back(b);
+        v = on;
+        for (int i = 0; i < step; ++i) v = std::nextafter(v, -1e300);
+        cases.push_back(b);
+      }
+    }
+  }
+  for (const double vs :
+       {2.0, 5.0, 19.0, 20.0, 30.0, 36.5, 37.6, 38.6, 38.9, 50.0, -50.0}) {
+    cases.push_back({1.0, 1.2, vs, 0.0});
+    cases.push_back({1.0, vs, 0.1, 0.0});
+  }
+  // A dense random sweep: x of both terms spread over the middle branch
+  // and past both tails, where a reordered operation in either backend
+  // would show in some last bit.
+  Rng rng(4242);
+  for (int i = 0; i < 4000; ++i) {
+    cases.push_back({rng.uniform(-0.5, 2.3), rng.uniform(-0.5, 2.3),
+                     rng.uniform(-0.5, 2.3), rng.uniform(-0.5, 0.5)});
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf}) {
+    cases.push_back({bad, 0.9, 0.0, 0.0});
+    cases.push_back({1.0, bad, 0.0, 0.0});
+    cases.push_back({1.0, 0.9, bad, 0.0});
+    cases.push_back({1.0, 0.9, 0.0, bad});
+  }
+  return cases;
+}
+
+// Bit-identical, or NaN on both sides: a NaN's sign and payload depend on
+// which operand of a commutative + or * the compiler put first when two
+// NaNs meet, which neither IEEE-754 nor C++ fixes (every consumer tests
+// std::isfinite).
+::testing::AssertionResult same_result(double a, double b) {
+  if (std::isnan(a) && std::isnan(b)) return ::testing::AssertionSuccess();
+  return bits_equal(a, b);
+}
+
+TEST_F(BatchKernelT, EkvLaneKernelMatchesScalarModel) {
+  std::vector<const kernels::Kernels*> backends = {&kernels::scalar()};
+  if (kernels::vector_available()) backends.push_back(kernels::avx2_kernels());
+  const tech::Technology& t = tech::tech018();
+  MosParams level1 = t.nmos(1e-6, 0.18e-6);
+  level1.model = MosModel::kLevel1;
+  const MosParams devices[] = {t.nmos(2e-6, 0.5e-6), t.pmos(2e-6, 0.18e-6),
+                               level1};
+  std::size_t compared = 0;
+  for (const MosParams& p : devices) {
+    const MosConsts k = mos_consts(p);
+    // PMOS sees the NMOS cases mirrored, so its n-core hits the same x.
+    std::vector<Bias> cases = ekv_cases(devices[0]);
+    if (p.type == MosType::kPmos) {
+      for (Bias& b : cases) b = {-b.vg, -b.vd, -b.vs, -b.vb};
+    }
+    for (const kernels::Kernels* kb : backends) {
+      for (std::size_t w = 1; w <= 17; ++w) {
+        // Rotate the cases through every lane position of this width.
+        for (std::size_t off = 0; off < cases.size(); off += w) {
+          std::vector<double> v(9 * w);
+          double* m = v.data();
+          const kernels::MosLanes io = {m,         m + w,     m + 2 * w,
+                                        m + 3 * w, m + 4 * w, m + 5 * w,
+                                        m + 6 * w, m + 7 * w, m + 8 * w};
+          for (std::size_t l = 0; l < w; ++l) {
+            const Bias& b = cases[(off + l) % cases.size()];
+            m[l] = b.vg;
+            m[w + l] = b.vd;
+            m[2 * w + l] = b.vs;
+            m[3 * w + l] = b.vb;
+          }
+          kb->ekv(p, k, io, w);
+          for (std::size_t l = 0; l < w; ++l) {
+            const Bias& b = cases[(off + l) % cases.size()];
+            const MosEval want = mos_eval(p, b.vg, b.vd, b.vs, b.vb);
+            const double got[5] = {io.ids[l], io.d_vg[l], io.d_vd[l],
+                                   io.d_vs[l], io.d_vb[l]};
+            const double ref[5] = {want.ids, want.d_vg, want.d_vd, want.d_vs,
+                                   want.d_vb};
+            for (int f = 0; f < 5; ++f) {
+              EXPECT_TRUE(same_result(got[f], ref[f]))
+                  << kb->name << " width " << w << " lane " << l << " field "
+                  << f << " bias (" << b.vg << ", " << b.vd << ", " << b.vs
+                  << ", " << b.vb << ") type " << static_cast<int>(p.type)
+                  << " model " << static_cast<int>(p.model);
+            }
+            ++compared;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 0u);
+
+  // A dense sweep of the gate voltage, x of both terms across [-42, 42]
+  // in 2^17 steps, where an operation the vector backend reorders would
+  // flip some last bit: dispatched against scalar kernel, width 16.
+  const MosParams& p = devices[0];
+  const MosConsts k = mos_consts(p);
+  constexpr std::size_t kW = 16, kSteps = std::size_t{1} << 17;
+  const double span = 2.0 * 42.0 * p.n_slope * k.vt;
+  std::vector<double> vec(9 * kW), ref(9 * kW);
+  auto lanes_of = [](std::vector<double>& v) {
+    double* m = v.data();
+    return kernels::MosLanes{m,          m + kW,     m + 2 * kW,
+                             m + 3 * kW, m + 4 * kW, m + 5 * kW,
+                             m + 6 * kW, m + 7 * kW, m + 8 * kW};
+  };
+  const kernels::MosLanes vio = lanes_of(vec), rio = lanes_of(ref);
+  std::size_t differing = 0;
+  for (std::size_t i = 0; i < kSteps; i += kW) {
+    for (std::size_t l = 0; l < kW; ++l) {
+      const double vg =
+          p.vth0 - span + 2.0 * span * static_cast<double>(i + l) / kSteps;
+      for (std::vector<double>* v : {&vec, &ref}) {
+        (*v)[l] = vg;
+        (*v)[kW + l] = 0.3;
+        (*v)[2 * kW + l] = 0.0;
+        (*v)[3 * kW + l] = 0.0;
+      }
+    }
+    kernels::active().ekv(p, k, vio, kW);
+    kernels::scalar().ekv(p, k, rio, kW);
+    for (std::size_t e = 4 * kW; e < 9 * kW; ++e) {
+      differing += same_result(vec[e], ref[e]) ? 0 : 1;
+    }
+  }
+  EXPECT_EQ(differing, 0u);
 }
 
 TEST_F(BatchKernelT, IsaReportAndPreferredWidthAreSane) {

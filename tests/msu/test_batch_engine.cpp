@@ -6,7 +6,8 @@
 // path, equal solver counters, and the engagement predicate that keeps
 // hooked / cache-less plans off the batch entirely. One engine-level case
 // drives circuit::BatchEngine over every device type against scalar
-// transient() sample by sample.
+// transient() sample by sample, and one mixes lanes that share MOSFET
+// parameters (one lane-kernel call for all) with a lane that does not.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -467,6 +468,86 @@ TEST_F(BatchEngineT, EveryDeviceTypeMatchesScalarTransientSampleBySample) {
     }
     // The branch currents of the last sample, too.
     EXPECT_EQ(got[k].back().second, ref.final_x);
+  }
+}
+
+// Two EKV inverters in a chain; the load capacitance varies by lane, and
+// `vth_shift` moves the first NMOS's threshold.
+void build_inverter_pair(circuit::Circuit& c, int k, double vth_shift) {
+  using namespace circuit;
+  const NodeId vdd = c.node("vdd"), in = c.node("in");
+  const NodeId out1 = c.node("out1"), out2 = c.node("out2");
+  c.add_vsource("VDD", vdd, kGround, SourceWave::dc(1.8));
+  c.add_vsource("VIN", in, kGround,
+                SourceWave::pulse(0.0, 1.8, 0.2e-9, 0.8e-9, 0.1e-9));
+  const MosParams pe = tech::tech018().pmos(2e-6, 0.18e-6);
+  MosParams ne = tech::tech018().nmos(1e-6, 0.18e-6);
+  const MosParams ne2 = ne;
+  ne.vth0 += vth_shift;
+  c.add_mosfet("MP1", out1, in, vdd, vdd, pe);
+  c.add_mosfet("MN1", out1, in, kGround, kGround, ne);
+  c.add_mosfet("MP2", out2, out1, vdd, vdd, pe);
+  c.add_mosfet("MN2", out2, out1, kGround, kGround, ne2);
+  c.add_capacitor("C1", out1, kGround, 4e-15 * (1.0 + 0.1 * k));
+  c.add_capacitor("C2", out2, kGround, 6e-15);
+}
+
+TEST_F(BatchEngineT, SharedAndPerLaneMosfetParametersMatchScalarTransient) {
+  // Every lane but kOddLane carries the same MOSFET parameters, so three
+  // of the four MOSFETs are evaluated for all lanes in one kernels::ekv
+  // call; MN1's threshold differs on kOddLane, so MN1 is evaluated one
+  // lane per call. Both paths must keep every lane in the batch, sample for
+  // sample bit-identical to scalar transient(), on every kernel backend.
+  constexpr std::size_t kLanes = 7, kOddLane = 3;
+  const std::vector<std::string> nodes = {"in", "out1", "out2"};
+  for (const bool force_scalar : {false, true}) {
+    SCOPED_TRACE(force_scalar ? "forced-scalar kernels" : "dispatched");
+    circuit::kernels::set_force_scalar(force_scalar);
+    circuit::ProgramCache cache;
+    circuit::TranParams tp;
+    tp.t_stop = 1.5e-9;
+    tp.dt = 20e-12;
+    tp.uic = true;
+    tp.newton.solver.program_cache = &cache;
+    auto shift_of = [&](std::size_t k) { return k == kOddLane ? 0.02 : 0.0; };
+    std::vector<std::unique_ptr<circuit::Circuit>> ckts;
+    std::vector<circuit::Circuit*> lanes;
+    for (std::size_t k = 0; k < kLanes; ++k) {
+      ckts.push_back(std::make_unique<circuit::Circuit>());
+      build_inverter_pair(*ckts.back(), static_cast<int>(k), shift_of(k));
+      lanes.push_back(ckts.back().get());
+    }
+    circuit::BatchEngine::Options bo;
+    bo.step = tp.schedule();
+    bo.newton = tp.newton;
+    circuit::BatchEngine eng(lanes, bo);
+    std::vector<std::vector<std::pair<double, std::vector<double>>>> got(
+        kLanes);
+    eng.advance(tp.t_stop, [&](std::size_t lane, double t,
+                               std::span<const double> x) {
+      got[lane].emplace_back(t, std::vector<double>(x.begin(), x.end()));
+    });
+    for (std::size_t k = 0; k < kLanes; ++k) {
+      SCOPED_TRACE("lane " + std::to_string(k));
+      circuit::Circuit fresh;
+      build_inverter_pair(fresh, static_cast<int>(k), shift_of(k));
+      const circuit::TranResult ref = circuit::transient(
+          fresh, tp, {.nodes = nodes, .device_currents = {}});
+      ASSERT_EQ(eng.state(k), circuit::BatchEngine::LaneState::kActive)
+          << eng.retire_reason(k);
+      ASSERT_EQ(got[k].size(), ref.trace.sample_count());
+      EXPECT_EQ(eng.stats(k).newton_iterations, ref.stats.newton_iterations);
+      for (std::size_t i = 0; i < got[k].size(); ++i) {
+        for (std::size_t c = 0; c < nodes.size(); ++c) {
+          const auto id = static_cast<std::size_t>(fresh.find_node(nodes[c]));
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(got[k][i].second[id - 1]),
+                    std::bit_cast<std::uint64_t>(ref.trace.channel(c)[i]))
+              << "sample " << i << " node " << nodes[c];
+        }
+      }
+    }
+    // The odd lane really moved: its output differs from lane 0's.
+    EXPECT_NE(got[kOddLane].back().second, got[0].back().second);
   }
 }
 
