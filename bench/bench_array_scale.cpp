@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -233,34 +234,91 @@ void run_parallel_acceptance(std::size_t jobs, JsonSink& json) {
 // metrics disabled. Tracing is NOT enabled here — spans allocate per event
 // and are priced separately; the contract covers the always-on-capable
 // metrics path, whose disabled cost is one relaxed atomic load per site.
+//
+// One 128x128 fast-model extraction takes a few milliseconds, far below
+// the jitter of a shared host, so each arm of a pair repeats it for at
+// least kArmSeconds. The two arms of a pair are interleaved extraction by
+// extraction (off, on, on, off, ...), so load that comes and goes on the
+// host lands on both alike; the overhead is the median over the pairs of
+// the on/off ratio. Extractions are timed in this thread's CPU time, which
+// time stolen by other tenants of the host does not inflate.
 void run_obs_overhead(JsonSink& json) {
   std::printf("EXT-A7: metrics overhead, enabled vs disabled extraction\n\n");
   report::Experiment exp("EXT-A7", "metrics overhead contract (< 2%)");
   constexpr std::size_t kN = 128;
+  constexpr double kArmSeconds = 0.2;
+  constexpr int kPairs = 9;
   const auto mc = edram::MacroCell::uniform({.rows = kN, .cols = kN},
                                             tech::tech018(), 30_fF);
+  const auto extract_once = [&] {
+    auto bm = bitmap::AnalogBitmap::extract_tiled(mc, {});
+    benchmark::DoNotOptimize(bm);
+  };
 
+  const auto cpu_seconds = [] {
+    timespec ts{};
+    ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) +
+           1e-9 * static_cast<double>(ts.tv_nsec);
+  };
+
+  // Size the arms from a warmed-up single run.
   obs::set_metrics_enabled(false);
-  const double t_off = best_of_3_seconds([&] {
-    auto bm = bitmap::AnalogBitmap::extract_tiled(mc, {});
-    benchmark::DoNotOptimize(bm);
-  });
-  obs::set_metrics_enabled(true);
+  extract_once();
+  const double c0 = cpu_seconds();
+  extract_once();
+  const double t_one = cpu_seconds() - c0;
+  const int reps =
+      std::max(1, static_cast<int>(std::ceil(kArmSeconds / t_one)));
+
+  // CPU seconds of one extraction with metrics on or off.
+  const auto timed = [&](bool metrics) {
+    obs::set_metrics_enabled(metrics);
+    const double t0 = cpu_seconds();
+    extract_once();
+    const double s = cpu_seconds() - t0;
+    obs::set_metrics_enabled(false);
+    return s;
+  };
   obs::Registry::global().reset();
-  const double t_on = best_of_3_seconds([&] {
-    auto bm = bitmap::AnalogBitmap::extract_tiled(mc, {});
-    benchmark::DoNotOptimize(bm);
-  });
-  obs::set_metrics_enabled(false);
+  std::vector<double> off, on;  // seconds per extraction, one per pair
+  for (int p = 0; p < kPairs; ++p) {
+    double s_off = 0.0, s_on = 0.0;
+    for (int r = 0; r < reps; ++r) {
+      if (r % 2 == 0) {
+        s_off += timed(false);
+        s_on += timed(true);
+      } else {
+        s_on += timed(true);
+        s_off += timed(false);
+      }
+    }
+    off.push_back(s_off / reps);
+    on.push_back(s_on / reps);
+  }
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  const double t_off = median(off);
+  const double t_on = median(on);
+  std::vector<double> ratio;  // on over off, within each pair
+  for (int p = 0; p < kPairs; ++p) ratio.push_back(on[p] / off[p]);
 
   // Negative deltas are timing noise; the contract bounds the upside only.
-  const double overhead = std::max(0.0, (t_on - t_off) / t_off);
-  std::printf("  metrics off: %8.3f ms\n", 1e3 * t_off);
-  std::printf("  metrics on : %8.3f ms  (overhead %.2f%%)\n", 1e3 * t_on,
+  const double overhead = std::max(0.0, median(ratio) - 1.0);
+  std::printf("  %d on/off pairs, %d extractions (%.0f ms CPU) per arm\n",
+              kPairs, reps, 1e3 * reps * t_one);
+  std::printf("  metrics off: %8.3f ms CPU per extraction (median)\n",
+              1e3 * t_off);
+  std::printf("  metrics on : %8.3f ms CPU per extraction (median)\n",
+              1e3 * t_on);
+  std::printf("  overhead   : %8.2f %% (median of the pairs' on/off ratios)\n",
               100 * overhead);
   exp.check("metrics-enabled extraction stays within 2% of disabled",
             Table::num(100 * overhead, 2) + "% on a " + std::to_string(kN) +
-                "x" + std::to_string(kN) + " array",
+                "x" + std::to_string(kN) + " array (median of " +
+                std::to_string(kPairs) + " interleaved pairs)",
             overhead < 0.02);
   exp.note("disabled-path cost is a single relaxed atomic load per site; "
            "per-cell tallies are flushed once per tile");

@@ -16,14 +16,16 @@ namespace ecms::extraction {
 
 namespace {
 
-// RAII per-tile instrumentation: a trace span (tile index + origin) plus a
-// wall-time observation into bitmap.tile_seconds. The clock is read only
-// when metrics are on; with obs fully off this is one relaxed load and two
-// dead branches per tile.
+// RAII per-tile instrumentation: a trace span (tile index + origin) plus,
+// for circuit-engine tiles, a wall-time observation into
+// bitmap.tile_seconds. The clock is read only when metrics are on; with obs
+// fully off this is one relaxed load and two dead branches per tile. A
+// fast-model tile takes microseconds, and two clock reads plus a histogram
+// record cost it ~3 % (EXT-A7), so fast-model tiles are not timed.
 class TileProbe {
  public:
-  TileProbe(std::size_t tile, std::size_t row0, std::size_t col0)
-      : span_("extract_tile"), timed_(obs::metrics_enabled()) {
+  TileProbe(std::size_t tile, std::size_t row0, std::size_t col0, bool timed)
+      : span_("extract_tile"), timed_(timed && obs::metrics_enabled()) {
     span_.arg("tile", static_cast<double>(tile));
     span_.arg("row0", static_cast<double>(row0));
     span_.arg("col0", static_cast<double>(col0));
@@ -35,7 +37,6 @@ class TileProbe {
                          std::chrono::steady_clock::now() - t0_)
                          .count();
     ECMS_METRIC_OBSERVE("bitmap.tile_seconds", s);
-    ECMS_METRIC_COUNT("bitmap.tiles", 1);
   }
   TileProbe(const TileProbe&) = delete;
   TileProbe& operator=(const TileProbe&) = delete;
@@ -91,7 +92,7 @@ ExtractReport extract(const edram::MacroCell& mc, const ExtractRequest& req) {
   const auto tile_body = [&](std::size_t t) {
     const std::size_t tr = (t / tiles_per_row) * tile_rows;
     const std::size_t tc = (t % tiles_per_row) * tile_cols;
-    const TileProbe probe(t, tr, tc);
+    const TileProbe probe(t, tr, tc, req.engine == Engine::kCircuit);
     const edram::MacroCell tile = mc.tile(tr, tc, tile_rows, tile_cols);
 
     if (req.engine == Engine::kCircuit) {
@@ -170,7 +171,6 @@ ExtractReport extract(const edram::MacroCell& mc, const ExtractRequest& req) {
           for (std::size_t c = 0; c < tile_cols; ++c)
             out.bitmap.set(tr + r, tc + c, model.code_of_cell(r, c));
       }
-      ECMS_METRIC_COUNT("bitmap.cells.measured", tile_rows * tile_cols);
       return;
     }
 
@@ -232,6 +232,11 @@ ExtractReport extract(const edram::MacroCell& mc, const ExtractRequest& req) {
     tile_body(t);
     if (req.tile_hook) req.tile_hook(tiles_done.fetch_add(1) + 1, n_tiles);
   });
+  // Whole-run tallies, flushed once rather than per tile.
+  ECMS_METRIC_COUNT("bitmap.tiles", n_tiles);
+  if (req.engine == Engine::kFastModel && !req.robust) {
+    ECMS_METRIC_COUNT("bitmap.cells.measured", mc.cell_count());
+  }
 
   // Sorted row-major so the report is deterministic regardless of tile
   // completion order.

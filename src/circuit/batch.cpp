@@ -32,7 +32,6 @@ BatchEngine::BatchEngine(std::span<Circuit* const> lanes, const Options& opts)
   // One reset up front so a reused arena starts a fresh generation before
   // any engine carves from it (and so util.arena.resets reflects the batch).
   arena_.reset();
-  static_soa_.bind(&arena_);
   a_soa_.bind(&arena_);
   l_soa_.bind(&arena_);
   u_soa_.bind(&arena_);
@@ -91,6 +90,7 @@ void BatchEngine::retire(std::size_t lane, std::string reason,
                          bool divergence) {
   Lane& L = lanes_[lane];
   if (L.state != LaneState::kActive) return;
+  write_back(lane);
   L.state = LaneState::kRetired;
   L.reason = std::move(reason);
   // Pending counters are dropped, not flushed: the scalar re-measurement of
@@ -103,7 +103,28 @@ void BatchEngine::finish(std::size_t lane) {
   Lane& L = lanes_[lane];
   if (L.state != LaneState::kActive) return;
   flush_counters(L);
+  write_back(lane);
   L.state = LaneState::kFinished;
+}
+
+void BatchEngine::write_back(std::size_t lane) {
+  Lane& L = lanes_[lane];
+  if (!L.soa_history) return;
+  L.soa_history = false;
+  const std::size_t nk = comps_.size();
+  const auto& devs = L.ckt->devices();
+  std::vector<double> blob;
+  for (std::size_t d = 0; d < plans_.size(); ++d) {
+    const DevPlan& p = plans_[d];
+    if (p.kind == DeviceKind::kGeneric) continue;
+    // save_state() order: (v_prev, i_prev) per companion, stamp order.
+    blob.clear();
+    for (std::size_t k = p.k_begin; k < p.k_end; ++k) {
+      blob.push_back(comp_v_[lane * nk + k]);
+      blob.push_back(comp_i_[lane * nk + k]);
+    }
+    devs[d]->restore_state(blob);
+  }
 }
 
 void BatchEngine::flush_counters(Lane& lane) {
@@ -214,13 +235,15 @@ void BatchEngine::advance(
 
     if (!solve_point(proto)) break;
 
+    for (Lane& L : lanes_) {
+      if (L.state != LaneState::kActive) continue;
+      std::swap(L.x, L.x_try);
+      L.ctx.x = L.x;
+    }
+    accept_step(proto);
     for (std::size_t li = 0; li < lanes_.size(); ++li) {
       Lane& L = lanes_[li];
       if (L.state != LaneState::kActive) continue;
-      std::swap(L.x, L.x_try);
-      StampContext actx = proto;
-      actx.x = L.x;
-      for (const auto& d : L.ckt->devices()) d->accept_step(actx);
       ++L.stats.accepted_steps;
       L.stats.newton_iterations += static_cast<std::size_t>(L.point_iters);
       ++L.points;
@@ -300,6 +323,20 @@ ReplayTape lane_tape(const std::vector<std::uint64_t>& coords,
   rt.size = end;
   rt.values = column;
   return rt;
+}
+
+// Calls fn(companion, a, b) for each capacitor companion of a MOSFET or a
+// capacitor, in the order its static stamp and save_state() visit them.
+template <class Fn>
+void for_each_companion(const Device& d, DeviceKind kind, Fn&& fn) {
+  if (kind == DeviceKind::kMosfet) {
+    for (const auto& c : static_cast<const Mosfet&>(d).companions()) {
+      fn(*c.cap, c.a, c.b);
+    }
+  } else if (kind == DeviceKind::kCapacitor) {
+    const auto& cap = static_cast<const Capacitor&>(d);
+    fn(cap.companion(), cap.a(), cap.b());
+  }
 }
 
 bool same_device_types(const Circuit& a, const Circuit& b) {
@@ -432,19 +469,28 @@ bool BatchEngine::join() {
   plans_.resize(ref_devs.size());
   mosfets_.assign(ref_devs.size() * W, nullptr);
   dyn_devs_.clear();
+  generic_devs_.clear();
+  comps_.clear();
   for (std::size_t d = 0; d < plans_.size(); ++d) {
     const Device& dev = *ref_devs[d];
     DevPlan& p = plans_[d];
-    p.kind = typeid(dev) == typeid(Mosfet)      ? DevKind::kMosfet
-             : typeid(dev) == typeid(Capacitor) ? DevKind::kCapacitor
-                                                : DevKind::kGeneric;
+    p.kind = device_kind(dev);
     p.nonlinear = dev.nonlinear();
     p.s_begin = d == 0 ? 0 : ref.s_end[d - 1];
     p.s_end = ref.s_end[d];
     p.d_begin = d == 0 ? 0 : ref.d_end[d - 1];
     p.d_end = ref.d_end[d];
+    p.k_begin = static_cast<std::uint32_t>(comps_.size());
+    for_each_companion(dev, p.kind,
+                       [&](const CapCompanion&, NodeId a, NodeId b) {
+                         comps_.push_back({a, b});
+                       });
+    p.k_end = static_cast<std::uint32_t>(comps_.size());
     if (p.nonlinear) dyn_devs_.push_back(static_cast<std::uint32_t>(d));
-    if (p.kind != DevKind::kMosfet) continue;
+    if (p.kind == DeviceKind::kGeneric) {
+      generic_devs_.push_back(static_cast<std::uint32_t>(d));
+    }
+    if (p.kind != DeviceKind::kMosfet) continue;
     // One kernels::ekv call serves all lanes only when they carry the
     // reference lane's parameters bit for bit (cells of one array do).
     const MosParams& mp = static_cast<const Mosfet&>(dev).params();
@@ -458,6 +504,36 @@ bool BatchEngine::join() {
     }
   }
 
+  // SoA companion history. The companion terminals must be the reference
+  // lane's: equal coordinate streams do not fix a grounded capacitor's
+  // orientation, which decides the sign of its history current.
+  const std::size_t n_comp = comps_.size();
+  comp_c_.assign(n_comp * W, 0.0);
+  comp_v_.assign(n_comp * W, 0.0);
+  comp_i_.assign(n_comp * W, 0.0);
+  for (std::size_t li = 0; li < W; ++li) {
+    Lane& L = lanes_[li];
+    if (L.state != LaneState::kActive) continue;
+    bool same = true;
+    std::size_t k = 0;
+    for (std::size_t d = 0; d < plans_.size(); ++d) {
+      for_each_companion(*L.ckt->devices()[d], plans_[d].kind,
+                         [&](const CapCompanion& cap, NodeId a, NodeId b) {
+                           same = same && a == comps_[k].a && b == comps_[k].b;
+                           comp_c_[li * n_comp + k] = cap.capacitance();
+                           comp_v_[li * n_comp + k] = cap.history_voltage();
+                           comp_i_[li * n_comp + k] = cap.history_current();
+                           ++k;
+                         });
+    }
+    if (!same) {
+      retire(li, "capacitor terminals differ from the batch's",
+             /*divergence=*/false);
+      continue;
+    }
+    L.soa_history = true;
+  }
+
   const auto premultiply = [W](const std::vector<std::uint32_t>& slots,
                                std::vector<std::uint32_t>& out) {
     out.resize(slots.size());
@@ -469,7 +545,17 @@ bool BatchEngine::join() {
   premultiply(prog_->dynamic_slots, dynamic_slots_w_);
   const LuSymbolic& sy = *prog_->symbolic;
   const std::size_t nnz = prog_->pattern->cols.size();
-  static_soa_.resize(nnz * W);
+  // Each image: the matrix (nnz * W), then the companion conductances
+  // (comps_ * W), which depend on the same key.
+  images_.clear((nnz + n_comp) * W);
+  restored_image_ = nullptr;
+  // The slots the dynamic stamps touch, once each, premultiplied.
+  std::vector<std::uint32_t> dyn = prog_->dynamic_slots;
+  std::sort(dyn.begin(), dyn.end());
+  dyn.erase(std::unique(dyn.begin(), dyn.end()), dyn.end());
+  premultiply(dyn, dyn_slots_w_);
+  matrix_scratch_.assign(nnz, 0.0);
+  rhs_scratch_.assign(n_, 0.0);
   a_soa_.resize(nnz * W);
   l_soa_.resize(sy.l_cols.size() * W);
   u_soa_.resize(sy.u_cols.size() * W);
@@ -480,35 +566,64 @@ bool BatchEngine::join() {
   return true;
 }
 
-void BatchEngine::restamp_static(bool count) {
-  const std::size_t W = lanes_.size();
-  std::fill(static_soa_.begin(), static_soa_.end(), 0.0);
+void BatchEngine::restamp_static(const StampContext& proto, bool count) {
+  point_lanes_.clear();
+  for (std::size_t li = 0; li < lanes_.size(); ++li) {
+    if (lanes_[li].state == LaneState::kActive) point_lanes_.push_back(li);
+  }
+  // Lanes only ever leave the batch, so a cached image covers every lane
+  // still active.
+  const StaticImageKey key =
+      StaticImageKey::of(proto, opts_.newton.gmin_ground);
+  static_image_ = images_.find(key);
+  if (static_image_ == nullptr) {
+    static_image_ = stamp_static_matrix(proto, key);
+    restored_image_ = nullptr;  // the entry may reuse the restored storage
+  }
+  stamp_static_rhs(proto);
+  if (!count) return;
   for (Lane& L : lanes_) {
-    if (L.state != LaneState::kActive) continue;
-    std::fill(L.b_static.begin(), L.b_static.end(), 0.0);
+    if (L.state == LaneState::kActive) ++L.restamps;
+  }
+}
+
+const double* BatchEngine::stamp_static_matrix(const StampContext& proto,
+                                               const StaticImageKey& key) {
+  const std::size_t W = lanes_.size();
+  double* image = images_.insert(key);
+  const std::size_t nk = comps_.size();
+  double* g = image + a_soa_.size();
+  for (const std::size_t li : point_lanes_) {
+    for (std::size_t k = 0; k < nk; ++k) {
+      const double c = comp_c_[li * nk + k];
+      g[li * nk + k] =
+          CapCompanion::open(c, proto) ? 0.0 : CapCompanion::geq(c, proto);
+    }
   }
   for (std::size_t d = 0; d < plans_.size(); ++d) {
     const DevPlan& p = plans_[d];
     const std::uint32_t* slots = static_slots_w_.data() + p.s_begin;
-    for (std::size_t li = 0; li < W; ++li) {
+    for (const std::size_t li : point_lanes_) {
       Lane& L = lanes_[li];
       if (L.state != LaneState::kActive) continue;
       const auto& devs = L.ckt->devices();
-      if (p.kind == DevKind::kMosfet) {
-        SlotCursor cur{slots, static_soa_.data() + li};
-        mosfets_[d * W + li]->stamp_static_into(L.ctx, cur, L.b_static);
-      } else if (p.kind == DevKind::kCapacitor) {
-        SlotCursor cur{slots, static_soa_.data() + li};
+      // The devices' own history is stale while the lane is in the batch;
+      // it reaches only the right-hand side, which goes to scratch here.
+      if (p.kind == DeviceKind::kMosfet) {
+        SlotCursor cur{slots, image + li};
+        mosfets_[d * W + li]->stamp_static_into(L.ctx, cur, rhs_scratch_);
+      } else if (p.kind == DeviceKind::kCapacitor) {
+        SlotCursor cur{slots, image + li};
         static_cast<const Capacitor&>(*devs[d])
-            .stamp_into(L.ctx, cur, L.b_static);
+            .stamp_into(L.ctx, cur, rhs_scratch_);
       } else {
         ReplayTape rt = lane_tape(prog_->static_coords, static_slots_w_,
-                                  p.s_begin, p.s_end, static_soa_.data() + li);
+                                  p.s_begin, p.s_end, image + li);
         MnaView view(rt);
         if (p.nonlinear) {
-          devs[d]->stamp_static(L.ctx, view, L.b_static);
+          devs[d]->stamp_static(L.ctx, view, rhs_scratch_);
         } else {
-          devs[d]->stamp(L.ctx, view, L.b_static);
+          devs[d]->stamp(L.ctx, view, rhs_scratch_);
         }
         if (rt.diverged || rt.cursor != rt.size) {
           retire(li, "stamp sequence diverged from the program",
@@ -517,18 +632,100 @@ void BatchEngine::restamp_static(bool count) {
       }
     }
   }
-  kernels::active().diag_add(static_soa_.data(), prog_->diag_slots.data(),
+  kernels::active().diag_add(image, prog_->diag_slots.data(),
                              prog_->diag_slots.size(),
                              opts_.newton.gmin_ground, W);
-  if (!count) return;
-  for (Lane& L : lanes_) {
-    if (L.state == LaneState::kActive) ++L.restamps;
+  return image;
+}
+
+void BatchEngine::stamp_static_rhs(const StampContext& proto) {
+  const std::size_t nk = comps_.size();
+  const CompanionTerminals* comps = comps_.data();
+  const double* g_image = static_image_ + a_soa_.size();
+  // A local copy: the right-hand-side stores below cannot alias it.
+  const StampContext pc = proto;
+  DiscardMatrix none;
+  for (const std::size_t li : point_lanes_) {
+    Lane& L = lanes_[li];
+    if (L.state != LaneState::kActive) continue;
+    const std::span<double> b(L.b_static);
+    std::fill(b.begin(), b.end(), 0.0);
+    const double* c = comp_c_.data() + li * nk;
+    const double* g = g_image + li * nk;
+    const double* v = comp_v_.data() + li * nk;
+    const double* i = comp_i_.data() + li * nk;
+    const auto& devs = L.ckt->devices();
+    for (std::size_t d = 0; d < plans_.size(); ++d) {
+      const DevPlan& p = plans_[d];
+      if (p.kind != DeviceKind::kGeneric) {
+        for (std::size_t k = p.k_begin; k < p.k_end; ++k) {
+          if (CapCompanion::open(c[k], pc)) continue;
+          CapCompanion::stamp_state(g[k], v[k], i[k], pc.method, comps[k].a,
+                                    comps[k].b, none, b);
+        }
+        continue;
+      }
+      // Matrix adds land in a scratch column; the tape still verifies the
+      // coordinates.
+      ReplayTape rt = lane_tape(prog_->static_coords, prog_->static_slots,
+                                p.s_begin, p.s_end, matrix_scratch_.data());
+      MnaView view(rt);
+      if (p.nonlinear) {
+        devs[d]->stamp_static(L.ctx, view, L.b_static);
+      } else {
+        devs[d]->stamp(L.ctx, view, L.b_static);
+      }
+      if (rt.diverged || rt.cursor != rt.size) {
+        retire(li, "stamp sequence diverged from the program",
+               /*divergence=*/true);
+        break;
+      }
+    }
+  }
+}
+
+void BatchEngine::accept_step(const StampContext& proto) {
+  const std::size_t nk = comps_.size();
+  const CompanionTerminals* comps = comps_.data();
+  // The step's companion conductances sit in the image it was solved with.
+  const double* g_image = static_image_ + a_soa_.size();
+  const StampContext pc = proto;  // local copies: the history stores below
+  for (std::size_t li = 0; li < lanes_.size(); ++li) {  // cannot alias them
+    const Lane& L = lanes_[li];
+    if (L.state != LaneState::kActive) continue;
+    const StampContext ctx = L.ctx;  // x = the accepted point
+    const double* c = comp_c_.data() + li * nk;
+    const double* g = g_image + li * nk;
+    double* v = comp_v_.data() + li * nk;
+    double* i = comp_i_.data() + li * nk;
+    for (std::size_t k = 0; k < nk; ++k) {
+      const double v_new = ctx.v(comps[k].a) - ctx.v(comps[k].b);
+      if (CapCompanion::open(c[k], pc)) {
+        CapCompanion::latch_open(v_new, v[k], i[k]);
+      } else {
+        CapCompanion::latch(g[k], pc.method, v_new, v[k], i[k]);
+      }
+    }
+    // Devices without SoA history latch their own (a no-op for every
+    // other device type in this library).
+    const auto& devs = L.ckt->devices();
+    for (const std::uint32_t d : generic_devs_) devs[d]->accept_step(ctx);
   }
 }
 
 void BatchEngine::stamp_dynamic() {
   const kernels::Kernels& kk = kernels::active();
-  kk.copy(a_soa_.data(), static_soa_.data(), a_soa_.size());
+  if (restored_image_ != static_image_) {
+    kk.copy(a_soa_.data(), static_image_, a_soa_.size());
+    restored_image_ = static_image_;
+  } else {
+    // The operand already holds this image outside the slots the dynamic
+    // stamps add to (the kernels only read it): restore just those.
+    const std::size_t W = lanes_.size();
+    for (const std::uint32_t s : dyn_slots_w_) {
+      std::copy_n(static_image_ + s, W, a_soa_.data() + s);
+    }
+  }
   for (const std::size_t li : step_lanes_) {
     Lane& L = lanes_[li];
     std::copy(L.b_static.begin(), L.b_static.end(), L.b_work.begin());
@@ -548,7 +745,7 @@ void BatchEngine::stamp_dynamic() {
   for (const std::uint32_t d : dyn_devs_) {
     const DevPlan& p = plans_[d];
     const std::uint32_t* slots = dynamic_slots_w_.data() + p.d_begin;
-    if (p.kind == DevKind::kMosfet) {
+    if (p.kind == DeviceKind::kMosfet) {
       const Mosfet* const* lane_mos = mosfets_.data() + d * W;
       const auto mosfet = [&](std::size_t j) -> const Mosfet& {
         return *lane_mos[step_lanes_[j]];
@@ -612,7 +809,7 @@ bool BatchEngine::solve_point(const StampContext& ctx_proto) {
 
   const bool joining = prog_ == nullptr;
   if (joining && !join()) return false;
-  restamp_static(/*count=*/!joining);
+  restamp_static(ctx_proto, /*count=*/!joining);
 
   const kernels::Kernels& kk = kernels::active();
   const LuSymbolic& sy = *prog_->symbolic;

@@ -22,9 +22,27 @@
 // evaluated for all step lanes in one kernels::ekv call over their gathered
 // terminal voltages, bit-identical to mos_eval(), when every lane carries
 // the same parameters bit for bit (decided at the join; cells of one array
-// do), and one lane per call otherwise. The static image is SoA too:
-// restamped once per point for all lanes, restored with one kernels::copy
-// per Newton iteration.
+// do), and one lane per call otherwise.
+//
+// Point-invariant work stays out of the per-point loop:
+//  * Static matrix images. The SoA static image's matrix part depends only
+//    on (dt, integrator, gmin), so the engine keeps the last
+//    StaticImageCache::kCapacity images (static_image.hpp), each followed
+//    by the lanes' companion conductances, which depend on the same key. A
+//    point whose key was seen reuses its image and restamps the lanes'
+//    static right-hand sides alone; a new key restamps the whole image, as
+//    the scalar engine does. Each Newton iteration restores the image into
+//    the kernel operand: in full (one kernels::copy) when the point's image
+//    differs from the last one restored, else only the dynamic slots.
+//  * SoA companion history. At the join every lane's capacitor and MOSFET
+//    companions (c, v_prev, i_prev) move into arrays of one row per lane;
+//    the static right-hand side and the per-step latch are computed from
+//    them, device by device in stamp order, with the CapCompanion
+//    expressions (stamp_state, latch, latch_open) the scalar path uses. A
+//    lane's devices get their history back (restore_state) when it is
+//    finished or retired, so its Circuit then holds exactly what a scalar
+//    run to the same time would hold; until then the devices' own history
+//    is stale.
 //
 // Precondition: lane circuits are immutable for the batch's lifetime (no
 // device is added, removed, rewired or re-valued between construction and
@@ -68,6 +86,7 @@
 #include "circuit/kernels.hpp"
 #include "circuit/netlist.hpp"
 #include "circuit/newton.hpp"
+#include "circuit/static_image.hpp"
 #include "circuit/transient.hpp"
 #include "util/arena.hpp"
 
@@ -123,11 +142,13 @@ class BatchEngine {
   std::size_t active_lanes() const;
 
   /// Marks a lane's trajectory decided: it stops stepping (and its pending
-  /// solver counters are flushed), but keeps its accepted state.
+  /// solver counters are flushed), but keeps its accepted state, and its
+  /// devices get their history back.
   void finish(std::size_t lane);
 
-  /// Retires a lane from the batch: its pending counters are dropped and
-  /// the caller must re-measure the cell on the scalar path. The engine
+  /// Retires a lane from the batch: its pending counters are dropped, its
+  /// devices get the history of its last accepted step back, and the
+  /// caller must re-measure the cell on the scalar path. The engine
   /// calls this itself on any lockstep deviation; callers use it when a
   /// higher-level policy (e.g. an adaptive-scheduler fallback) would send
   /// the scalar path down a different flow. `divergence` marks numerical
@@ -146,17 +167,26 @@ class BatchEngine {
                const std::function<void(std::size_t, double,
                                         std::span<const double>)>& on_sample);
 
+  /// The SoA static matrix images (hits and misses count per-point
+  /// restamps after the join).
+  const StaticImageCache& static_images() const { return images_; }
+
  private:
   /// How the lane-native assembly stamps one device across the lanes.
-  enum class DevKind : std::uint8_t { kMosfet, kCapacitor, kGeneric };
   struct DevPlan {
-    DevKind kind = DevKind::kGeneric;
+    DeviceKind kind = DeviceKind::kGeneric;
     bool nonlinear = false;
     std::uint32_t s_begin = 0, s_end = 0;  ///< static tape range
     std::uint32_t d_begin = 0, d_end = 0;  ///< dynamic tape range
+    std::uint32_t k_begin = 0, k_end = 0;  ///< companion range
     /// MOSFET whose parameters are bit-identical on every lane: one
     /// kernels::ekv call evaluates all lanes, else one call per lane.
     bool shared_params = false;
+  };
+
+  /// One capacitor companion's terminals (the same on every lane).
+  struct CompanionTerminals {
+    NodeId a = kGround, b = kGround;
   };
 
   struct Lane {
@@ -170,6 +200,9 @@ class BatchEngine {
     LaneState state = LaneState::kActive;
     std::string reason;
     LaneStats stats;
+    /// Its companion history lives in the SoA arrays (joined, not yet
+    /// written back).
+    bool soa_history = false;
     // Point-solve scratch.
     bool unfinished = false;     ///< still iterating this point
     bool engine_solved = false;  ///< this iteration solved by the engine
@@ -188,10 +221,23 @@ class BatchEngine {
   /// lanes on another order or coordinate stream, size the SoA operands.
   /// Returns false when no lane is left active.
   bool join();
-  /// Restamps the SoA static image and the lanes' static RHS for this
-  /// point. `count` is false on the join point, whose restamp the lane
-  /// engines' discovery already counted.
-  void restamp_static(bool count);
+  /// Selects this point's SoA static image (stamping it on a miss) and
+  /// restamps the lanes' static RHS. `count` is false on the join point,
+  /// whose restamp the lane engines' discovery already counted.
+  void restamp_static(const StampContext& proto, bool count);
+  /// The full static restamp of every lane's matrix column into a new
+  /// image for `key`, the right-hand sides to scratch; then the companion
+  /// conductances of the key.
+  const double* stamp_static_matrix(const StampContext& proto,
+                                    const StaticImageKey& key);
+  /// The lanes' static right-hand sides: companions from the SoA history,
+  /// every other device through the verifying tape.
+  void stamp_static_rhs(const StampContext& proto);
+  /// Latches the SoA history of every active lane after an accepted step
+  /// (and calls the other devices' accept_step).
+  void accept_step(const StampContext& proto);
+  /// Hands a lane's SoA history back to its devices.
+  void write_back(std::size_t lane);
   /// Restores the static image and stamps the dynamic (iterate-dependent)
   /// part of every lane in step_lanes_.
   void stamp_dynamic();
@@ -210,6 +256,12 @@ class BatchEngine {
   std::shared_ptr<const NetlistProgram> prog_;
   std::vector<DevPlan> plans_;             ///< per device, stamp order
   std::vector<std::uint32_t> dyn_devs_;    ///< nonlinear device indices
+  std::vector<std::uint32_t> generic_devs_;  ///< kGeneric device indices
+  /// Companion history, [lane * comps_ + companion], companions in device
+  /// stamp order: each lane's restamp and latch walk their own contiguous
+  /// rows.
+  std::vector<CompanionTerminals> comps_;
+  std::vector<double> comp_c_, comp_v_, comp_i_;
   /// [device * width + lane]: the lane's Mosfet (null for other devices
   /// and lanes retired before the join), one load instead of a walk
   /// through the lane's circuit in the per-iteration loops.
@@ -217,10 +269,22 @@ class BatchEngine {
   // The program's tape slots premultiplied by the width.
   std::vector<std::uint32_t> static_slots_w_, dynamic_slots_w_;
   std::vector<std::size_t> step_lanes_;  ///< lanes solved this iteration
+  std::vector<std::size_t> point_lanes_;  ///< active lanes at this point
   std::vector<std::uint8_t> degraded_;   ///< pivot_health flags per lane
+  /// Static images, this point's among them: the SoA matrix (nnz * width)
+  /// followed by the companion conductances ([lane * comps_ + companion]).
+  StaticImageCache images_;
+  const double* static_image_ = nullptr;
+  /// The image a_soa_ was last fully restored from: while the points keep
+  /// it, an iteration restores only the dynamic slots (dyn_slots_w_,
+  /// premultiplied, each once).
+  const double* restored_image_ = nullptr;
+  std::vector<std::uint32_t> dyn_slots_w_;
+  /// Sinks of the static restamp's discarded halves: one lane's matrix
+  /// column (program slots) and right-hand side.
+  std::vector<double> matrix_scratch_, rhs_scratch_;
   // SoA kernel operands, [slot * width + lane].
-  util::ArenaBuf<double> static_soa_, a_soa_, l_soa_, u_soa_, work_soa_,
-      pb_soa_;
+  util::ArenaBuf<double> a_soa_, l_soa_, u_soa_, work_soa_, pb_soa_;
   /// kernels::MosLanes' nine arrays of `width` doubles, back to back.
   static constexpr std::size_t kMosLanesArrays = 9;
   util::ArenaBuf<double> mos_soa_;

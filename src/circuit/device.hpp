@@ -130,8 +130,15 @@ struct SlotCursor {
   }
 };
 
-/// Stamps conductance g between nodes a and b. `Sink` is MnaView or
-/// SlotCursor; the add order is the same for both.
+/// Matrix sink that drops every add: restamps the right-hand side alone
+/// through a templated stamp body while the matrix part comes from a cached
+/// static image (static_image.hpp).
+struct DiscardMatrix {
+  void add(std::size_t /*row*/, std::size_t /*col*/, double /*v*/) {}
+};
+
+/// Stamps conductance g between nodes a and b. `Sink` is MnaView,
+/// SlotCursor or DiscardMatrix; the add order is the same for all.
 template <class Sink>
 void stamp_conductance(Sink& a_mat, NodeId a, NodeId b, double g) {
   if (a != kGround) {
@@ -173,23 +180,68 @@ class CapCompanion {
   template <class Sink>
   void stamp(const StampContext& ctx, NodeId a, NodeId b, Sink& a_mat,
              std::span<double> b_vec) const {
-    if (ctx.is_dc() || c_ == 0.0) return;  // open in DC
-    const double g = geq(ctx);
+    if (open(c_, ctx)) return;
+    stamp_state(geq(c_, ctx), v_prev_, i_prev_, ctx.method, a, b, a_mat,
+                b_vec);
+  }
+
+  /// Latches v across (a - b) as history; zeroes the current history.
+  void init_state(const StampContext& ctx, NodeId a, NodeId b) {
+    latch_open(ctx.v(a) - ctx.v(b), v_prev_, i_prev_);
+  }
+
+  /// Latches history after an accepted transient step.
+  void accept_step(const StampContext& ctx, NodeId a, NodeId b) {
+    if (open(c_, ctx)) {
+      init_state(ctx, a, b);
+      return;
+    }
+    latch(geq(c_, ctx), ctx.method, ctx.v(a) - ctx.v(b), v_prev_, i_prev_);
+  }
+
+  // The expressions behind stamp(), init_state() and accept_step(), over
+  // explicit state (conductance g, history v_prev/i_prev): the companion
+  // objects call them with their own fields, the batch engine with one
+  // lane of its SoA history (batch.hpp), so both paths compute every value
+  // the same way.
+
+  /// True when the companion stamps nothing: in DC and for c == 0.
+  static bool open(double c, const StampContext& ctx) {
+    return ctx.is_dc() || c == 0.0;
+  }
+  /// The conductance of a companion that is not open.
+  static double geq(double c, const StampContext& ctx) {
+    return ctx.method == Integrator::kBackwardEuler ? c / ctx.dt
+                                                    : 2.0 * c / ctx.dt;
+  }
+  /// Stamps a companion that is not open, g = geq(c, ctx).
+  template <class Sink>
+  static void stamp_state(double g, double v_prev, double i_prev,
+                          Integrator method, NodeId a, NodeId b, Sink& a_mat,
+                          std::span<double> b_vec) {
     // Companion: i(a->b) = g * v - j, with
     //   BE:   j = g * v_prev
     //   trap: j = g * v_prev + i_prev
-    double j = g * v_prev_;
-    if (ctx.method == Integrator::kTrapezoidal) j += i_prev_;
+    double j = g * v_prev;
+    if (method == Integrator::kTrapezoidal) j += i_prev;
     stamp_conductance(a_mat, a, b, g);
     // The equivalent source j flows b->a (it opposes the conductance term).
     stamp_current(b_vec, b, a, j);
   }
-
-  /// Latches v across (a - b) as history; zeroes the current history.
-  void init_state(const StampContext& ctx, NodeId a, NodeId b);
-
-  /// Latches history after an accepted transient step.
-  void accept_step(const StampContext& ctx, NodeId a, NodeId b);
+  /// History after an accepted step across (a - b) of `v_new`, for a
+  /// companion that is not open.
+  static void latch(double g, Integrator method, double v_new,
+                    double& v_prev, double& i_prev) {
+    double i_new = g * (v_new - v_prev);
+    if (method == Integrator::kTrapezoidal) i_new -= i_prev;
+    v_prev = v_new;
+    i_prev = i_new;
+  }
+  /// History of an open companion: v latched, current history zeroed.
+  static void latch_open(double v_new, double& v_prev, double& i_prev) {
+    v_prev = v_new;
+    i_prev = 0.0;
+  }
 
   double history_voltage() const { return v_prev_; }
   double history_current() const { return i_prev_; }
@@ -207,10 +259,6 @@ class CapCompanion {
   }
 
  private:
-  double geq(const StampContext& ctx) const {
-    return ctx.method == Integrator::kBackwardEuler ? c_ / ctx.dt
-                                                    : 2.0 * c_ / ctx.dt;
-  }
   double c_ = 0.0;
   double v_prev_ = 0.0;
   double i_prev_ = 0.0;

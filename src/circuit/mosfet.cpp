@@ -214,6 +214,8 @@ template void Mosfet::stamp_static_into(const StampContext&, MnaView&,
                                         std::span<double>) const;
 template void Mosfet::stamp_static_into(const StampContext&, SlotCursor&,
                                         std::span<double>) const;
+template void Mosfet::stamp_static_into(const StampContext&, DiscardMatrix&,
+                                        std::span<double>) const;
 
 void Mosfet::init_state(const StampContext& ctx) {
   cgs_.init_state(ctx, g_, s_);

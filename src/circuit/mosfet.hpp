@@ -22,6 +22,8 @@
 // charge-conserving.
 #pragma once
 
+#include <array>
+
 #include "circuit/device.hpp"
 
 namespace ecms::circuit {
@@ -129,8 +131,9 @@ class Mosfet : public Device {
   /// stamps the companion of an evaluation `e` taken at terminal voltages
   /// (vg, vd, vs, vb) — stamp() passes mos_eval_with() at the iterate, the
   /// batch engine one lane of kernels::ekv; it is defined below so both
-  /// inline it. stamp_static_into() is instantiated for the two sinks in
-  /// mosfet.cpp.
+  /// inline it. stamp_static_into() is instantiated in mosfet.cpp for
+  /// MnaView, SlotCursor and DiscardMatrix (the sparse engine's
+  /// right-hand-side-only restamp).
   template <class Sink>
   void stamp_eval_into(const MosEval& e, double vg, double vd, double vs,
                        double vb, Sink& a_mat, std::span<double> b_vec) const;
@@ -144,6 +147,21 @@ class Mosfet : public Device {
   double probe_current(const StampContext& ctx) const override;
   void save_state(std::vector<double>& out) const override;
   std::size_t restore_state(std::span<const double> in) override;
+
+  /// One intrinsic capacitance and the terminals it sits across.
+  struct Companion {
+    const CapCompanion* cap;
+    NodeId a, b;
+  };
+  /// The five intrinsic capacitances in the order stamp_static_into()
+  /// stamps them and save_state() serializes them: Cgs, Cgd, Cgb, Cdb, Csb.
+  std::array<Companion, 5> companions() const {
+    return {{{&cgs_, g_, s_},
+             {&cgd_, g_, d_},
+             {&cgb_, g_, b_},
+             {&cdb_, d_, b_},
+             {&csb_, s_, b_}}};
+  }
 
   const MosParams& params() const { return p_; }
   const MosConsts& consts() const { return k_; }

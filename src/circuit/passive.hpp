@@ -36,7 +36,8 @@ class Capacitor : public Device {
     stamp_into(ctx, a_mat, b_vec);
   }
   /// The body of stamp(), templated over the matrix sink: MnaView on the
-  /// scalar path, SlotCursor in the batch engine's lane loop.
+  /// scalar path, SlotCursor in the batch engine's lane loop, DiscardMatrix
+  /// for a right-hand-side-only restamp.
   template <class Sink>
   void stamp_into(const StampContext& ctx, Sink& a_mat,
                   std::span<double> b_vec) const {
@@ -53,6 +54,7 @@ class Capacitor : public Device {
   }
 
   double capacitance() const { return comp_.capacitance(); }
+  const CapCompanion& companion() const { return comp_; }
   NodeId a() const { return a_; }
   NodeId b() const { return b_; }
 

@@ -36,12 +36,17 @@ void SparseEngine::discover(const Circuit& ckt, const StampContext& ctx,
   b_static_.assign(n_, 0.0);
   phase_ = Phase::kRecord;
   active_tape_ = &static_tape_;
+  static_devs_.clear();
   for (const auto& d : ckt.devices()) {
+    const auto begin = static_cast<std::uint32_t>(static_tape_.coords.size());
     if (d->nonlinear()) {
       d->stamp_static(ctx, view, b_static_);
     } else {
       d->stamp(ctx, view, b_static_);
     }
+    static_devs_.push_back(
+        {device_kind(*d), d->nonlinear(), begin,
+         static_cast<std::uint32_t>(static_tape_.coords.size())});
   }
   b_work_.copy_from(b_static_.span());
   active_tape_ = &dynamic_tape_;
@@ -106,14 +111,19 @@ void SparseEngine::discover(const Circuit& ckt, const StampContext& ctx,
   seed_.reset();
 
   // Build the static image and this iterate's working values from the
-  // recorded stamps (same accumulation order as the replay path).
-  static_values_.assign(mat_.nnz(), 0.0);
+  // recorded stamps (same accumulation order as the replay path). Every
+  // image stamped before this discovery is dropped.
+  images_.clear(mat_.nnz());
+  image_scratch_.resize(mat_.nnz());
+  static_ckt_ = &ckt;
+  double* image = images_.insert(StaticImageKey::of(ctx, gmin_ground));
   for (std::size_t i = 0; i < static_tape_.slots.size(); ++i) {
-    static_values_[static_tape_.slots[i]] += static_tape_.rec_vals[i];
+    image[static_tape_.slots[i]] += static_tape_.rec_vals[i];
   }
-  for (const std::uint32_t s : diag_slots_) static_values_[s] += gmin_ground;
+  for (const std::uint32_t s : diag_slots_) image[s] += gmin_ground;
+  static_image_ = image;
   std::span<double> vals = mat_.values();
-  std::copy(static_values_.begin(), static_values_.end(), vals.begin());
+  std::copy(image, image + mat_.nnz(), vals.begin());
   for (std::size_t i = 0; i < dynamic_tape_.slots.size(); ++i) {
     vals[dynamic_tape_.slots[i]] += dynamic_tape_.rec_vals[i];
   }
@@ -140,26 +150,8 @@ void SparseEngine::assemble(const Circuit& ckt, const StampContext& ctx,
   diverged_ = false;
 
   if (static_dirty_) {
-    std::fill(static_values_.begin(), static_values_.end(), 0.0);
-    b_static_.assign(n_, 0.0);
-    ReplayTape rt;
-    rt.coords = static_tape_.coords.data();
-    rt.slots = static_tape_.slots.data();
-    rt.size = static_tape_.coords.size();
-    rt.values = static_values_.data();
-    MnaView view(rt);
-    for (const auto& d : ckt.devices()) {
-      if (d->nonlinear()) {
-        d->stamp_static(ctx, view, b_static_);
-      } else {
-        d->stamp(ctx, view, b_static_);
-      }
-    }
-    if (rt.diverged || rt.cursor != rt.size) diverged_ = true;
+    restamp_static(ckt, ctx, gmin_ground);
     if (!diverged_) {
-      for (const std::uint32_t s : diag_slots_) {
-        static_values_[s] += gmin_ground;
-      }
       static_dirty_ = false;
       ++static_restamps_;
     }
@@ -169,7 +161,7 @@ void SparseEngine::assemble(const Circuit& ckt, const StampContext& ctx,
 
   if (!diverged_) {
     std::span<double> vals = mat_.values();
-    std::copy(static_values_.begin(), static_values_.end(), vals.begin());
+    std::copy(static_image_, static_image_ + mat_.nnz(), vals.begin());
     b_work_.copy_from(b_static_.span());
     ReplayTape rt;
     rt.coords = dynamic_tape_.coords.data();
@@ -195,6 +187,74 @@ void SparseEngine::assemble(const Circuit& ckt, const StampContext& ctx,
     publish_pending_ = false;
     discover(ckt, ctx, gmin_ground);
   }
+}
+
+void SparseEngine::restamp_static(const Circuit& ckt, const StampContext& ctx,
+                                  double gmin_ground) {
+  const auto& devs = ckt.devices();
+  if (&ckt != static_ckt_ || devs.size() != static_devs_.size()) {
+    // Another circuit (or one that grew a device): its values may differ.
+    images_.clear(mat_.nnz());
+    static_ckt_ = &ckt;
+  }
+  b_static_.assign(n_, 0.0);
+  ReplayTape rt;
+  rt.coords = static_tape_.coords.data();
+  rt.slots = static_tape_.slots.data();
+  MnaView view(rt);
+  const StaticImageKey key = StaticImageKey::of(ctx, gmin_ground);
+  if (const double* image = images_.find(key); image != nullptr) {
+    // The matrix part is cached: restamp the right-hand side alone.
+    DiscardMatrix none;
+    rt.values = image_scratch_.data();
+    for (std::size_t i = 0; i < devs.size(); ++i) {
+      const StaticDevice& sd = static_devs_[i];
+      const Device& d = *devs[i];
+      switch (sd.kind) {
+        case DeviceKind::kMosfet:
+          static_cast<const Mosfet&>(d).stamp_static_into(ctx, none,
+                                                          b_static_);
+          break;
+        case DeviceKind::kCapacitor:
+          static_cast<const Capacitor&>(d).stamp_into(ctx, none, b_static_);
+          break;
+        case DeviceKind::kGeneric:
+          rt.cursor = sd.begin;
+          rt.size = sd.end;
+          if (sd.nonlinear) {
+            d.stamp_static(ctx, view, b_static_);
+          } else {
+            d.stamp(ctx, view, b_static_);
+          }
+          if (rt.diverged || rt.cursor != rt.size) diverged_ = true;
+          break;
+      }
+    }
+    static_image_ = image;
+    return;
+  }
+
+  double* image = images_.insert(key);
+  rt.size = static_tape_.coords.size();
+  rt.values = image;
+  static_devs_.resize(devs.size());
+  for (std::size_t i = 0; i < devs.size(); ++i) {
+    const Device& d = *devs[i];
+    const auto begin = static_cast<std::uint32_t>(rt.cursor);
+    if (d.nonlinear()) {
+      d.stamp_static(ctx, view, b_static_);
+    } else {
+      d.stamp(ctx, view, b_static_);
+    }
+    static_devs_[i] = {device_kind(d), d.nonlinear(), begin,
+                       static_cast<std::uint32_t>(rt.cursor)};
+  }
+  if (rt.diverged || rt.cursor != rt.size) {
+    diverged_ = true;  // rediscovery drops the half-stamped image
+    return;
+  }
+  for (const std::uint32_t s : diag_slots_) image[s] += gmin_ground;
+  static_image_ = image;
 }
 
 void SparseEngine::maybe_publish() {

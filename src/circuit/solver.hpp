@@ -25,6 +25,7 @@
 #include "circuit/netlist.hpp"
 #include "circuit/program.hpp"
 #include "circuit/sparse.hpp"
+#include "circuit/static_image.hpp"
 #include "util/arena.hpp"
 
 namespace ecms::circuit {
@@ -50,6 +51,16 @@ struct SolverConfig {
 ///     ties) cannot change between Newton iterations of one point, so
 ///     those stamps are frozen once per point and memcpy-restored each
 ///     iteration; only the iterate-dependent stamp() bodies re-run.
+///     The matrix half of that image is also kept across points, up to
+///     StaticImageCache::kCapacity of them keyed by (dt, integrator,
+///     gmin) (static_image.hpp): on a key seen before, the per-point
+///     restamp rebuilds the right-hand side alone, MOSFETs and capacitors
+///     through their stamp bodies with a DiscardMatrix sink, every other
+///     device through the verifying tape aimed at a scratch image.
+///
+/// Precondition: the element values of a circuit bound to an engine do
+/// not change (a cached image would go stale). Assembling a different
+/// Circuit object drops the images; rediscovery drops them too.
 ///
 /// With a ProgramCache attached, the first assembly hashes the recorded
 /// coordinate streams and either adopts a published NetlistProgram
@@ -76,7 +87,7 @@ class SparseEngine final : public StampSink {
       : n_(unknowns), cache_(cache) {
     b_static_.bind(arena);
     b_work_.bind(arena);
-    static_values_.bind(arena);
+    image_scratch_.bind(arena);
     lu_.bind_arena(arena);
   }
 
@@ -135,6 +146,9 @@ class SparseEngine final : public StampSink {
     return program_;
   }
 
+  /// The static matrix images (hits and misses count per-point restamps).
+  const StaticImageCache& static_images() const { return images_; }
+
   // Cumulative counters, reported per solve as circuit.lu.{symbolic,
   // numeric} and circuit.assemble.{static_hits,restamps}.
   std::uint64_t symbolic_factorizations() const { return symbolic_; }
@@ -157,8 +171,21 @@ class SparseEngine final : public StampSink {
     std::vector<double> rec_vals;       // values seen during discovery
   };
 
+  /// One device's static stamps: how to restamp its right-hand side on an
+  /// image hit, and its range [begin, end) of the static tape.
+  struct StaticDevice {
+    DeviceKind kind = DeviceKind::kGeneric;
+    bool nonlinear = false;
+    std::uint32_t begin = 0, end = 0;
+  };
+
   void discover(const Circuit& ckt, const StampContext& ctx,
                 double gmin_ground);
+  /// The per-point static restamp: the right-hand side alone on an image
+  /// hit, everything into a new image on a miss. Sets diverged_ when a
+  /// device's coordinates leave the tape.
+  void restamp_static(const Circuit& ckt, const StampContext& ctx,
+                      double gmin_ground);
   void resolve_slots(Tape& tape);
   /// Publishes the locally compiled program after the first clean full
   /// factorization (no-op on the adopted path or with the cache disabled).
@@ -175,7 +202,11 @@ class SparseEngine final : public StampSink {
   Tape* active_tape_ = nullptr;
   std::vector<std::uint32_t> diag_slots_;
   SparseMatrix mat_;
-  util::ArenaBuf<double> static_values_;  // frozen matrix image (nnz values)
+  StaticImageCache images_;               // static matrix images (nnz each)
+  const double* static_image_ = nullptr;  // this point's image
+  util::ArenaBuf<double> image_scratch_;  // sink of rhs-only tape replays
+  std::vector<StaticDevice> static_devs_;  // per device, stamp order
+  const Circuit* static_ckt_ = nullptr;    // the circuit the images are of
   util::ArenaBuf<double> b_static_;       // frozen static rhs
   util::ArenaBuf<double> b_work_;         // working rhs
   SparseLu lu_;

@@ -11,15 +11,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "circuit/dc.hpp"
 #include "circuit/matrix.hpp"
 #include "circuit/newton.hpp"
+#include "circuit/recovery.hpp"
 #include "circuit/transient.hpp"
 #include "edram/macrocell.hpp"
+#include "fault/fault.hpp"
 #include "msu/extract.hpp"
 #include "tech/tech.hpp"
 #include "util/error.hpp"
@@ -292,6 +297,197 @@ TEST(SolverBackendT, ExtractionCodesIdenticalAcrossBackends) {
       }
     }
   }
+}
+
+// --- Static matrix images (static_image.hpp) -------------------------------
+
+// A transient point context for the engine-level image tests.
+StampContext point_ctx(double time, double dt, Integrator method,
+                       double gmin = NewtonOptions{}.gmin_ground) {
+  StampContext ctx;
+  ctx.time = time;
+  ctx.dt = dt;
+  ctx.method = method;
+  ctx.gmin = gmin;
+  return ctx;
+}
+
+// Sets every device's history from a non-trivial iterate, so companion
+// right-hand sides are non-zero and differ from point to point.
+void latch_history(Circuit& c, std::span<const double> x, double dt) {
+  StampContext ctx = point_ctx(1e-9, dt, Integrator::kTrapezoidal);
+  ctx.x = x;
+  for (const auto& d : c.devices()) d->accept_step(ctx);
+}
+
+std::vector<std::uint64_t> bits(std::span<const double> v) {
+  std::vector<std::uint64_t> out;
+  for (const double d : v) out.push_back(std::bit_cast<std::uint64_t>(d));
+  return out;
+}
+
+// Assembles `target` on an engine that has seen no image under its key:
+// discovery at another key, then the full restamp (an image miss).
+void assemble_cold(const Circuit& c, const StampContext& target,
+                   std::span<const double> x, SparseEngine& eng) {
+  StampContext other = point_ctx(0.5e-9, 0.5e-9, Integrator::kBackwardEuler,
+                                 target.gmin * 3.0);
+  other.x = x;
+  eng.begin_point();
+  eng.assemble(c, other, other.gmin);
+  StampContext ctx = target;
+  ctx.x = x;
+  eng.begin_point();
+  eng.assemble(c, ctx, ctx.gmin);
+}
+
+TEST(SolverBackendT, StaticImageHitAssemblesTheMissBits) {
+  // A point whose (dt, integrator, gmin) the engine has seen reuses the
+  // cached matrix image and restamps the right-hand side alone; an engine
+  // that has not restamps everything. Both must assemble identical bits,
+  // matrix and right-hand side, with the device history moved in between.
+  const auto t = tech::tech018();
+  Circuit c = make_switched_ladder(t, 6);
+  c.finalize();
+  const std::size_t n = c.unknown_count();
+  std::vector<double> x(n), x2(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    x[i] = 0.1 + 0.05 * static_cast<double>(i);
+    x2[i] = 0.3 - 0.02 * static_cast<double>(i);
+  }
+  latch_history(c, x, 1e-9);
+
+  ProgramCache cache;
+  SparseEngine warm(n, &cache);
+  const StampContext a = point_ctx(2e-9, 1e-9, Integrator::kTrapezoidal);
+  const StampContext b = point_ctx(3e-9, 2e-9, Integrator::kBackwardEuler);
+  for (const StampContext& p : {a, b}) {
+    StampContext ctx = p;
+    ctx.x = x;
+    warm.begin_point();
+    warm.assemble(c, ctx, ctx.gmin);
+  }
+  EXPECT_EQ(warm.static_images().size(), 2u);
+  EXPECT_EQ(warm.static_images().hits(), 0u);
+
+  latch_history(c, x2, 1e-9);
+  StampContext again = a;
+  again.time = 5e-9;  // same key, another time and history
+  again.x = x;
+  warm.begin_point();
+  warm.assemble(c, again, again.gmin);
+  EXPECT_EQ(warm.static_images().hits(), 1u);
+
+  SparseEngine cold(n, &cache);
+  assemble_cold(c, again, x, cold);
+  EXPECT_EQ(cold.static_images().hits(), 0u);
+  EXPECT_EQ(bits(warm.matrix().values()), bits(cold.matrix().values()));
+  EXPECT_EQ(bits(warm.rhs()), bits(cold.rhs()));
+  // Both count one restamp per point, hit or miss.
+  EXPECT_EQ(warm.static_restamps(), 3u);
+  EXPECT_EQ(cold.static_restamps(), 2u);
+}
+
+TEST(SolverBackendT, StaticImageEvictionKeepsEveryAssemblyIdentical) {
+  // More distinct keys than the cache holds, forward and then backward: the
+  // backward pass hits the most recent kCapacity keys and misses the
+  // evicted ones. Every assembly must equal a cold engine's.
+  const auto t = tech::tech018();
+  Circuit c = make_switched_ladder(t, 6);
+  c.finalize();
+  const std::size_t n = c.unknown_count();
+  std::vector<double> x(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    x[i] = 0.2 + 0.03 * static_cast<double>(i);
+  }
+  constexpr std::size_t kKeys = StaticImageCache::kCapacity + 4;
+  std::vector<std::size_t> order;
+  for (std::size_t k = 0; k < kKeys; ++k) order.push_back(k);
+  for (std::size_t k = kKeys; k-- > 0;) order.push_back(k);
+
+  ProgramCache cache;
+  SparseEngine warm(n, &cache);
+  double time = 1e-9;
+  for (const std::size_t k : order) {
+    SCOPED_TRACE("key " + std::to_string(k));
+    const double dt = 1e-10 * static_cast<double>(k + 1);
+    time += dt;
+    latch_history(c, x, dt);
+    x[0] += 1e-3;  // a fresh iterate and history at every point
+    StampContext ctx = point_ctx(time, dt, Integrator::kTrapezoidal);
+    ctx.x = x;
+    warm.begin_point();
+    warm.assemble(c, ctx, ctx.gmin);
+    SparseEngine cold(n, &cache);
+    assemble_cold(c, ctx, x, cold);
+    ASSERT_EQ(bits(warm.matrix().values()), bits(cold.matrix().values()));
+    ASSERT_EQ(bits(warm.rhs()), bits(cold.rhs()));
+  }
+  EXPECT_EQ(warm.static_images().size(), StaticImageCache::kCapacity);
+  EXPECT_EQ(warm.static_images().hits(), StaticImageCache::kCapacity);
+  EXPECT_EQ(warm.static_images().misses(),
+            order.size() - 1 - StaticImageCache::kCapacity);
+}
+
+TEST(SolverBackendT, GminSteppingRungIdenticalWithColdAndWarmImages) {
+  // gmin is part of the image key. The recovery ladder's gmin-stepping
+  // rung raises gmin_ground: (1) the ladder run that recovers there equals
+  // a direct run of that rung, and (2) Newton points at the raised gmin on
+  // a workspace warmed at the base gmin (same dt and integrator) equal the
+  // same points on a cold workspace.
+  const auto t = tech::tech018();
+  fault::SolverFaultInjector inj;
+  inj.add({.t_lo = 1e-9,
+           .t_hi = 2e-9,
+           .cleared_by = fault::ClearedBy::kHighGmin,
+           .gmin_threshold = 1e-11});
+  SolveHooks hooks = inj.hooks();
+  TranParams tp;
+  tp.t_stop = 4e-9;
+  tp.dt = 100e-12;
+  tp.dt_min = 1e-12;
+  tp.newton.hooks = &hooks;
+  const ProbeSet probes{.nodes = {"n1", "n6"}, .device_currents = {}};
+  Circuit c1 = make_switched_ladder(t, 6);
+  RecoveryReport rep;
+  const TranResult ladder = transient_with_recovery(c1, tp, probes, {}, &rep);
+  ASSERT_EQ(rep.succeeded_at, RecoveryRung::kGminStepping);
+  Circuit c2 = make_switched_ladder(t, 6);
+  const TranResult direct = transient(
+      c2, apply_recovery_rung(tp, RecoveryRung::kGminStepping), probes);
+  ASSERT_EQ(ladder.trace.sample_count(), direct.trace.sample_count());
+  for (std::size_t ch = 0; ch < 2; ++ch) {
+    EXPECT_EQ(bits(ladder.trace.channel(ch)), bits(direct.trace.channel(ch)));
+  }
+  EXPECT_EQ(bits(ladder.final_x), bits(direct.final_x));
+
+  Circuit c = make_switched_ladder(t, 6);
+  c.finalize();
+  const std::size_t n = c.unknown_count();
+  NewtonOptions base;
+  base.solver.program_cache = nullptr;
+  NewtonOptions raised = base;
+  raised.gmin_ground = base.gmin_ground * 100.0;
+  auto run = [&](NewtonWorkspace& ws, const NewtonOptions& opts) {
+    std::vector<double> x(n, 0.0);
+    std::vector<std::vector<std::uint64_t>> out;
+    for (int p = 0; p < 6; ++p) {
+      const double dt = p % 2 == 0 ? 100e-12 : 200e-12;
+      StampContext ctx = point_ctx(1e-9 * (p + 1), dt,
+                                   Integrator::kTrapezoidal, opts.gmin_ground);
+      EXPECT_TRUE(newton_solve(c, ctx, x, opts, ws).converged);
+      out.push_back(bits(x));
+    }
+    return out;
+  };
+  NewtonWorkspace warm, cold;
+  run(warm, base);
+  const std::uint64_t warm_hits = warm.sparse()->static_images().hits();
+  EXPECT_GT(warm_hits, 0u);
+  EXPECT_EQ(run(warm, raised), run(cold, raised));
+  // The raised-gmin points missed the base-gmin images, then hit their own.
+  EXPECT_EQ(warm.sparse()->static_images().hits() - warm_hits,
+            cold.sparse()->static_images().hits());
 }
 
 }  // namespace

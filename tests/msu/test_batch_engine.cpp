@@ -8,6 +8,9 @@
 // drives circuit::BatchEngine over every device type against scalar
 // transient() sample by sample, and one mixes lanes that share MOSFET
 // parameters (one lane-kernel call for all) with a lane that does not.
+// Two more drive the engine's point-invariant caches: SoA static matrix
+// images across hits, misses and evictions, and the SoA companion history
+// handed back to finished and retired lanes.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -21,6 +24,7 @@
 #include "circuit/batch.hpp"
 #include "circuit/kernels.hpp"
 #include "circuit/program.hpp"
+#include "circuit/static_image.hpp"
 #include "fault/fault.hpp"
 #include "msu/batch_extract.hpp"
 #include "msu/extract.hpp"
@@ -548,6 +552,169 @@ TEST_F(BatchEngineT, SharedAndPerLaneMosfetParametersMatchScalarTransient) {
     }
     // The odd lane really moved: its output differs from lane 0's.
     EXPECT_NE(got[kOddLane].back().second, got[0].back().second);
+  }
+}
+
+// An EKV inverter driven through PWL corners at irregular times: the step
+// that lands on each corner has a length of its own, so the run meets more
+// distinct (dt, integrator) keys than the static image cache holds.
+void build_pwl_inverter(circuit::Circuit& c, int k) {
+  using namespace circuit;
+  const NodeId vdd = c.node("vdd"), in = c.node("in"), out = c.node("out");
+  c.add_vsource("VDD", vdd, kGround, SourceWave::dc(1.8));
+  c.add_vsource("VIN", in, kGround,
+                SourceWave::pwl({{0.0, 0.0},
+                                 {0.133e-9, 1.8},
+                                 {0.297e-9, 1.8},
+                                 {0.471e-9, 0.2},
+                                 {0.659e-9, 0.2},
+                                 {0.838e-9, 1.6},
+                                 {1.073e-9, 1.6},
+                                 {1.196e-9, 0.0},
+                                 {1.372e-9, 0.9},
+                                 {1.581e-9, 0.9}}));
+  c.add_mosfet("MP", out, in, vdd, vdd, tech::tech018().pmos(2e-6, 0.18e-6));
+  c.add_mosfet("MN", out, in, kGround, kGround,
+               tech::tech018().nmos(1e-6, 0.18e-6));
+  c.add_capacitor("CL", out, kGround, 5e-15 * (1.0 + 0.1 * k));
+  c.add_resistor("RL", out, kGround, 200e3);
+}
+
+TEST_F(BatchEngineT, StaticImageHitsMissesAndEvictionsMatchScalarTransient) {
+  // The lockstep run reuses cached SoA matrix images on repeated keys,
+  // stamps new ones on the landing steps and evicts past the capacity;
+  // every lane stays sample-for-sample bit-identical to scalar transient().
+  constexpr std::size_t kLanes = 5;
+  circuit::ProgramCache cache;
+  circuit::TranParams tp;
+  tp.t_stop = 1.8e-9;
+  tp.dt = 20e-12;
+  tp.uic = true;
+  tp.newton.solver.program_cache = &cache;
+  std::vector<std::unique_ptr<circuit::Circuit>> ckts;
+  std::vector<circuit::Circuit*> lanes;
+  for (std::size_t k = 0; k < kLanes; ++k) {
+    ckts.push_back(std::make_unique<circuit::Circuit>());
+    build_pwl_inverter(*ckts.back(), static_cast<int>(k));
+    lanes.push_back(ckts.back().get());
+  }
+  circuit::BatchEngine::Options bo;
+  bo.step = tp.schedule();
+  bo.newton = tp.newton;
+  circuit::BatchEngine eng(lanes, bo);
+  std::vector<std::vector<std::vector<double>>> got(kLanes);
+  eng.advance(tp.t_stop, [&](std::size_t lane, double,
+                             std::span<const double> x) {
+    got[lane].emplace_back(x.begin(), x.end());
+  });
+  const circuit::StaticImageCache& images = eng.static_images();
+  EXPECT_GT(images.hits(), images.misses());
+  EXPECT_GT(images.misses(), circuit::StaticImageCache::kCapacity);
+  EXPECT_EQ(images.size(), circuit::StaticImageCache::kCapacity);
+
+  const std::vector<std::string> nodes = {"in", "out"};
+  for (std::size_t k = 0; k < kLanes; ++k) {
+    SCOPED_TRACE("lane " + std::to_string(k));
+    circuit::Circuit fresh;
+    build_pwl_inverter(fresh, static_cast<int>(k));
+    const circuit::TranResult ref = circuit::transient(
+        fresh, tp, {.nodes = nodes, .device_currents = {}});
+    ASSERT_EQ(eng.state(k), circuit::BatchEngine::LaneState::kActive)
+        << eng.retire_reason(k);
+    ASSERT_EQ(got[k].size(), ref.trace.sample_count());
+    for (std::size_t i = 0; i < got[k].size(); ++i) {
+      for (std::size_t c = 0; c < nodes.size(); ++c) {
+        const auto id = static_cast<std::size_t>(fresh.find_node(nodes[c]));
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got[k][i][id - 1]),
+                  std::bit_cast<std::uint64_t>(ref.trace.channel(c)[i]))
+            << "sample " << i << " node " << nodes[c];
+      }
+    }
+    EXPECT_EQ(got[k].back(), ref.final_x);
+  }
+}
+
+std::vector<std::uint64_t> state_bits(const circuit::Circuit& c) {
+  std::vector<double> blob;
+  for (const auto& d : c.devices()) d->save_state(blob);
+  std::vector<std::uint64_t> out;
+  for (const double v : blob) out.push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
+}
+
+std::vector<std::uint64_t> state_bits(const circuit::SolverCheckpoint& ck) {
+  std::vector<std::uint64_t> out;
+  for (const double v : ck.device_state) {
+    out.push_back(std::bit_cast<std::uint64_t>(v));
+  }
+  return out;
+}
+
+TEST_F(BatchEngineT, FinishedAndRetiredLanesHoldTheScalarCheckpointHistory) {
+  // While a lane is in the batch its companion history lives in SoA
+  // arrays; finish() and retire() hand it back to the lane's devices. The
+  // lane's circuit then holds exactly the device_state of a scalar
+  // checkpoint taken at the batch's time: a lane retired mid-run at t1, one
+  // finished at t1, and one finished after a second segment at t2.
+  constexpr std::size_t kLanes = 4;
+  constexpr std::size_t kRetired = 1, kFinishedEarly = 0, kFinishedLate = 2;
+  constexpr double kT1 = 0.7e-9, kT2 = 1.3e-9;
+  circuit::ProgramCache cache;
+  circuit::TranParams tp;
+  tp.dt = 20e-12;
+  tp.uic = true;
+  tp.grow_until = 0.5e-9;
+  tp.grow_cap = 4.0;
+  tp.newton.solver.program_cache = &cache;
+  std::vector<std::unique_ptr<circuit::Circuit>> ckts;
+  std::vector<circuit::Circuit*> lanes;
+  for (std::size_t k = 0; k < kLanes; ++k) {
+    ckts.push_back(std::make_unique<circuit::Circuit>());
+    build_inverter_pair(*ckts.back(), static_cast<int>(k), 0.0);
+    lanes.push_back(ckts.back().get());
+  }
+  circuit::BatchEngine::Options bo;
+  bo.step = tp.schedule();
+  bo.newton = tp.newton;
+  circuit::BatchEngine eng(lanes, bo);
+  const auto ignore = [](std::size_t, double, std::span<const double>) {};
+
+  // Scalar checkpoints at t1 and (resumed from t1) at t2.
+  auto scalar_at = [&](std::size_t k, bool second_segment) {
+    circuit::Circuit fresh;
+    build_inverter_pair(fresh, static_cast<int>(k), 0.0);
+    circuit::TranParams p = tp;
+    p.t_stop = kT1;
+    p.checkpoint_at = kT1;
+    circuit::SolverCheckpoint ck =
+        circuit::transient(fresh, p, {}).checkpoint;
+    if (second_segment) {
+      p.t_stop = kT2;
+      p.checkpoint_at = kT2;
+      ck = circuit::transient_resume(fresh, ck, p, {}).checkpoint;
+    }
+    return ck;
+  };
+
+  eng.advance(kT1, ignore);
+  const double t1 = eng.time();
+  ASSERT_EQ(eng.active_lanes(), kLanes);
+  eng.retire(kRetired, "forced retirement");
+  eng.finish(kFinishedEarly);
+  eng.advance(kT2, ignore);
+  const double t2 = eng.time();
+  eng.finish(kFinishedLate);
+
+  const std::pair<std::size_t, bool> cases[] = {
+      {kRetired, false}, {kFinishedEarly, false}, {kFinishedLate, true}};
+  for (const auto& [k, late] : cases) {
+    SCOPED_TRACE("lane " + std::to_string(k));
+    const circuit::SolverCheckpoint ck = scalar_at(k, late);
+    ASSERT_TRUE(ck.valid());
+    EXPECT_EQ(ck.time, late ? t2 : t1);
+    EXPECT_EQ(state_bits(*ckts[k]), state_bits(ck));
+    const auto x = eng.x(k);
+    EXPECT_EQ(std::vector<double>(x.begin(), x.end()), ck.x);
   }
 }
 
