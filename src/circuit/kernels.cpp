@@ -122,10 +122,116 @@ void ekv_scalar(const MosParams& p, const MosConsts& k, const MosLanes& io,
   }
 }
 
-constexpr Kernels kScalar = {"scalar",        ekv_scalar,
-                             refactor_scalar, solve_scalar,
-                             pivot_health_scalar, copy_scalar,
-                             diag_add_scalar};
+void mos_stamp_scalar(const MosStampPlan& plan, const MosLanes& io,
+                      double* a, double* b, std::size_t w) {
+  const double* const deriv[4] = {io.d_vg, io.d_vd, io.d_vs, io.d_vb};
+  for (std::uint32_t j = 0; j < plan.n_adds; ++j) {
+    double* row = a + static_cast<std::size_t>(plan.slot[j]) * w;
+    const double* g = deriv[plan.deriv[j]];
+    if (plan.negate[j]) {
+      for (std::size_t k = 0; k < w; ++k) row[k] += -g[k];
+    } else {
+      for (std::size_t k = 0; k < w; ++k) row[k] += g[k];
+    }
+  }
+  double* rd = plan.rhs_d < 0 ? nullptr : b + plan.rhs_d * w;
+  double* rs = plan.rhs_s < 0 ? nullptr : b + plan.rhs_s * w;
+  for (std::size_t k = 0; k < w; ++k) {
+    const double ieq = io.ids[k] - io.d_vg[k] * io.vg[k] -
+                       io.d_vd[k] * io.vd[k] - io.d_vs[k] * io.vs[k] -
+                       io.d_vb[k] * io.vb[k];
+    if (rd != nullptr) rd[k] -= ieq;
+    if (rs != nullptr) rs[k] += ieq;
+  }
+}
+
+void companion_rhs_scalar(const CompanionRows* comps, std::size_t count,
+                          const double* g, const double* v, const double* i,
+                          bool trap, double* b, std::size_t w) {
+  for (std::size_t c = 0; c < count; ++c) {
+    const CompanionRows& cr = comps[c];
+    if (cr.open) continue;
+    const double* gc = g + c * w;
+    const double* vc = v + c * w;
+    const double* ic = i + c * w;
+    double* ra = cr.ba < 0 ? nullptr : b + cr.ba * w;
+    double* rb = cr.bb < 0 ? nullptr : b + cr.bb * w;
+    for (std::size_t k = 0; k < w; ++k) {
+      double j = gc[k] * vc[k];
+      if (trap) j += ic[k];
+      if (rb != nullptr) rb[k] -= j;
+      if (ra != nullptr) ra[k] += j;
+    }
+  }
+}
+
+void companion_latch_scalar(const CompanionRows* comps, std::size_t count,
+                            const double* g, double* v, double* i, bool trap,
+                            const double* x, std::size_t w) {
+  for (std::size_t c = 0; c < count; ++c) {
+    const CompanionRows& cr = comps[c];
+    const double* xa = x + static_cast<std::size_t>(cr.xa) * w;
+    const double* xb = x + static_cast<std::size_t>(cr.xb) * w;
+    double* vc = v + c * w;
+    double* ic = i + c * w;
+    if (cr.open) {
+      for (std::size_t k = 0; k < w; ++k) {
+        vc[k] = xa[k] - xb[k];
+        ic[k] = 0.0;
+      }
+      continue;
+    }
+    const double* gc = g + c * w;
+    for (std::size_t k = 0; k < w; ++k) {
+      const double v_new = xa[k] - xb[k];
+      double i_new = gc[k] * (v_new - vc[k]);
+      if (trap) i_new -= ic[k];
+      vc[k] = v_new;
+      ic[k] = i_new;
+    }
+  }
+}
+
+void newton_update_scalar(const NewtonLanes& io, std::size_t w) {
+  for (std::size_t k = 0; k < w; ++k) {
+    io.max_dv[k] = 0.0;
+    io.max_x[k] = 0.0;
+  }
+  for (std::size_t r = 0; r < io.nv; ++r) {
+    const double* xn = io.x_new + static_cast<std::size_t>(io.x_new_row[r]) * w;
+    const double* x = io.x + r * w;
+    for (std::size_t k = 0; k < w; ++k) {
+      const double dv = std::abs(xn[k] - x[k]);
+      if (dv > io.max_dv[k]) io.max_dv[k] = dv;
+      io.max_x[k] = std::max(io.max_x[k], std::abs(x[k]));
+    }
+  }
+  for (std::size_t k = 0; k < w; ++k) {
+    io.scale[k] = 1.0;
+    if (io.max_dv[k] > io.max_delta_v) {
+      io.scale[k] = io.max_delta_v / io.max_dv[k];
+    }
+  }
+  for (std::size_t r = 0; r < io.n; ++r) {
+    const double* xn = io.x_new + static_cast<std::size_t>(io.x_new_row[r]) * w;
+    double* x = io.x + r * w;
+    for (std::size_t k = 0; k < w; ++k) {
+      if (io.step[k] != 0) x[k] += io.scale[k] * (xn[k] - x[k]);
+    }
+  }
+}
+
+constexpr Kernels kScalar = {"scalar",
+                             ekv_scalar,
+                             refactor_scalar,
+                             solve_scalar,
+                             pivot_health_scalar,
+                             copy_scalar,
+                             diag_add_scalar,
+                             mos_stamp_scalar,
+                             companion_rhs_scalar,
+                             companion_latch_scalar,
+                             newton_update_scalar};
 
 bool env_forces_scalar() {
   const char* v = std::getenv("ECMS_FORCE_SCALAR_KERNELS");

@@ -4,11 +4,14 @@
 //
 // Bit-identity: values use only lanewise vaddpd/vsubpd/vmulpd/vdivpd — each
 // IEEE-754 correctly rounded, so every lane computes exactly what the scalar
-// backend computes — plus, in the EKV kernel, exact integer and bit
-// operations on the representation and lane blends that select between
-// results computed in full. No FMA (vfmadd would contract mul+sub into one
-// rounding). pivot_health's vmaxpd takes |v| as its first operand so a NaN
-// entry yields the running max, as std::max(rmax, |v|) does (kernels.hpp).
+// backend computes — plus exact sign-bit operations (negation, |x|), lane
+// blends that select between results computed in full, and, in the EKV
+// kernel, exact integer operations on the representation. No FMA (vfmadd
+// would contract mul+sub into one rounding). pivot_health's and
+// newton_update's vmaxpd take the new value as their first operand so a
+// NaN one yields the running max, as the scalar maxima do (kernels.hpp).
+// The kernels that carry a running maximum work on blocks of up to four
+// groups of four lanes at once, so those dependency chains overlap.
 //
 // Nothing here calls an inline function shared with other translation units
 // (such as detmath.hpp's det_exp): a copy built with -mavx2 could be the one
@@ -20,9 +23,7 @@
 
 #include <immintrin.h>
 
-#include <algorithm>
 #include <bit>
-#include <cmath>
 #include <iterator>
 
 #include "circuit/detmath.hpp"
@@ -295,7 +296,7 @@ void ekv_avx2(const MosParams& p, const MosConsts& k, const MosLanes& io,
     return;
   }
   for (std::size_t i = 0; i < w; i += 4) {
-    ekv_lanes(p, k, io, i, std::min<std::size_t>(4, w - i));
+    ekv_lanes(p, k, io, i, w - i < 4 ? w - i : 4);
   }
 }
 
@@ -400,49 +401,249 @@ void solve_avx2(const LuSymbolic& sy, const double* l, const double* u,
   }
 }
 
-void pivot_health_avx2(const LuSymbolic& sy, const double* u, std::size_t w,
-                       std::uint8_t* flags) {
-  const std::size_t wv = w & ~std::size_t{3};
-  // |x| clears the sign bit, as std::abs does (NaN stays NaN).
-  const __m256d abs_mask =
-      _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d inf = _mm256_set1_pd(__builtin_inf());
-  const __m256d thr = _mm256_set1_pd(kRepivotThreshold);
-  for (std::size_t k = 0; k < w; ++k) flags[k] = 0;
-  for (std::size_t i = 0; i < sy.n; ++i) {
-    const double* piv = u + static_cast<std::size_t>(sy.u_ptr[i]) * w;
-    for (std::size_t k = 0; k < wv; k += 4) {
-      __m256d rmax = zero;
-      for (std::uint32_t s = sy.u_ptr[i]; s < sy.u_ptr[i + 1]; ++s) {
-        const __m256d v = _mm256_and_pd(
-            _mm256_loadu_pd(u + static_cast<std::size_t>(s) * w + k),
-            abs_mask);
-        rmax = _mm256_max_pd(v, rmax);  // NaN v -> rmax
-      }
-      const __m256d mag = _mm256_and_pd(_mm256_loadu_pd(piv + k), abs_mask);
-      // !isfinite(piv): !(|piv| < inf), true for NaN (unordered).
-      __m256d bad = _mm256_cmp_pd(mag, inf, _CMP_NLT_UQ);
-      bad = _mm256_or_pd(bad, _mm256_cmp_pd(mag, zero, _CMP_EQ_OQ));
-      bad = _mm256_or_pd(
-          bad, _mm256_cmp_pd(mag, _mm256_mul_pd(thr, rmax), _CMP_LT_OQ));
-      const int mask = _mm256_movemask_pd(bad);
-      for (std::size_t j = 0; j < 4; ++j) {
-        flags[k + j] |= static_cast<std::uint8_t>((mask >> j) & 1);
-      }
-    }
-    for (std::size_t k = wv; k < w; ++k) {  // tail lanes, scalar
-      double rmax = 0.0;
-      for (std::uint32_t s = sy.u_ptr[i]; s < sy.u_ptr[i + 1]; ++s) {
-        rmax = std::max(rmax, std::abs(u[static_cast<std::size_t>(s) * w + k]));
-      }
-      const double mag = std::abs(piv[k]);
-      if (!std::isfinite(piv[k]) || mag == 0.0 ||
-          mag < kRepivotThreshold * rmax) {
-        flags[k] = 1;
-      }
+// Lane masks and loads for a block of G groups of four lanes from lane k0
+// of which the first n are valid: a short block loads through lane masks
+// (its missing lanes read as 0.0) and stores only its valid lanes.
+template <int G>
+struct Block {
+  __m256i mask[G];
+  bool full;
+  std::size_t k0;
+  Block(std::size_t k0_, std::size_t n)
+      : full(n == 4 * static_cast<std::size_t>(G)), k0(k0_) {
+    for (int g = 0; g < G; ++g) {
+      mask[g] = _mm256_cmpgt_epi64(
+          _mm256_set1_epi64x(static_cast<long long>(n) - 4 * g),
+          _mm256_setr_epi64x(0, 1, 2, 3));
     }
   }
+  [[gnu::always_inline]] __m256d load(const double* row, int g) const {
+    const double* at = row + k0 + 4 * g;
+    return full ? _mm256_loadu_pd(at) : _mm256_maskload_pd(at, mask[g]);
+  }
+  [[gnu::always_inline]] void store(double* row, int g, __m256d v) const {
+    double* at = row + k0 + 4 * g;
+    if (full) {
+      _mm256_storeu_pd(at, v);
+    } else {
+      _mm256_maskstore_pd(at, mask[g], v);
+    }
+  }
+};
+
+// Calls fn.template operator()<G>(k0, n) over blocks of up to 16 lanes, G
+// groups of four each: the per-row work of the G groups is independent, so
+// their dependency chains (a running maximum) overlap.
+template <class Fn>
+[[gnu::always_inline]] inline void for_blocks(std::size_t w, Fn&& fn) {
+  for (std::size_t k0 = 0; k0 < w; k0 += 16) {
+    const std::size_t n = w - k0 < 16 ? w - k0 : 16;
+    switch ((n + 3) / 4) {
+      case 1: fn.template operator()<1>(k0, n); break;
+      case 2: fn.template operator()<2>(k0, n); break;
+      case 3: fn.template operator()<3>(k0, n); break;
+      default: fn.template operator()<4>(k0, n); break;
+    }
+  }
+}
+
+// |x| clears the sign bit, as std::abs does (NaN stays NaN).
+[[gnu::always_inline]] inline __m256d abs_pd(__m256d x) {
+  return _mm256_and_pd(
+      x, _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL)));
+}
+
+void pivot_health_avx2(const LuSymbolic& sy, const double* u, std::size_t w,
+                       std::uint8_t* flags) {
+  for_blocks(w, [&]<int G>(std::size_t k0, std::size_t n) {
+    const Block<G> blk(k0, n);
+    const __m256d zero = _mm256_setzero_pd();
+    const __m256d inf = _mm256_set1_pd(__builtin_inf());
+    const __m256d thr = _mm256_set1_pd(kRepivotThreshold);
+    unsigned bad_lanes = 0;
+    for (std::size_t i = 0; i < sy.n; ++i) {
+      __m256d rmax[G];
+      for (int g = 0; g < G; ++g) rmax[g] = zero;
+      for (std::uint32_t s = sy.u_ptr[i]; s < sy.u_ptr[i + 1]; ++s) {
+        const double* row = u + static_cast<std::size_t>(s) * w;
+        for (int g = 0; g < G; ++g) {
+          rmax[g] = _mm256_max_pd(abs_pd(blk.load(row, g)), rmax[g]);
+        }  // NaN |v| -> rmax
+      }
+      const double* piv = u + static_cast<std::size_t>(sy.u_ptr[i]) * w;
+      for (int g = 0; g < G; ++g) {
+        const __m256d mag = abs_pd(blk.load(piv, g));
+        // !isfinite(piv): !(|piv| < inf), true for NaN (unordered).
+        __m256d bad = _mm256_cmp_pd(mag, inf, _CMP_NLT_UQ);
+        bad = _mm256_or_pd(bad, _mm256_cmp_pd(mag, zero, _CMP_EQ_OQ));
+        bad = _mm256_or_pd(
+            bad, _mm256_cmp_pd(mag, _mm256_mul_pd(thr, rmax[g]), _CMP_LT_OQ));
+        bad_lanes |= static_cast<unsigned>(_mm256_movemask_pd(bad)) << (4 * g);
+      }
+    }
+    for (std::size_t j = 0; j < n; ++j) {
+      flags[k0 + j] = static_cast<std::uint8_t>((bad_lanes >> j) & 1);
+    }
+  });
+}
+
+void mos_stamp_avx2(const MosStampPlan& plan, const MosLanes& io, double* a,
+                    double* b, std::size_t w) {
+  const std::size_t wv = w & ~std::size_t{3};
+  const double* const deriv[4] = {io.d_vg, io.d_vd, io.d_vs, io.d_vb};
+  for (std::uint32_t j = 0; j < plan.n_adds; ++j) {
+    double* row = a + static_cast<std::size_t>(plan.slot[j]) * w;
+    const double* g = deriv[plan.deriv[j]];
+    // Negation flips the sign bit, as unary minus does.
+    const __m256d sign = _mm256_set1_pd(plan.negate[j] ? -0.0 : 0.0);
+    for (std::size_t k = 0; k < wv; k += 4) {
+      const __m256d gv = _mm256_xor_pd(_mm256_loadu_pd(g + k), sign);
+      _mm256_storeu_pd(row + k, _mm256_add_pd(_mm256_loadu_pd(row + k), gv));
+    }
+    for (std::size_t k = wv; k < w; ++k) {
+      row[k] += plan.negate[j] ? -g[k] : g[k];
+    }
+  }
+  double* rd = plan.rhs_d < 0 ? nullptr : b + plan.rhs_d * w;
+  double* rs = plan.rhs_s < 0 ? nullptr : b + plan.rhs_s * w;
+  std::size_t k = 0;
+  for (; k < wv; k += 4) {
+    const auto ld = [k](const double* p) { return _mm256_loadu_pd(p + k); };
+    __m256d ieq = _mm256_sub_pd(ld(io.ids),
+                                _mm256_mul_pd(ld(io.d_vg), ld(io.vg)));
+    ieq = _mm256_sub_pd(ieq, _mm256_mul_pd(ld(io.d_vd), ld(io.vd)));
+    ieq = _mm256_sub_pd(ieq, _mm256_mul_pd(ld(io.d_vs), ld(io.vs)));
+    ieq = _mm256_sub_pd(ieq, _mm256_mul_pd(ld(io.d_vb), ld(io.vb)));
+    if (rd != nullptr) _mm256_storeu_pd(rd + k, _mm256_sub_pd(ld(rd), ieq));
+    if (rs != nullptr) _mm256_storeu_pd(rs + k, _mm256_add_pd(ld(rs), ieq));
+  }
+  for (; k < w; ++k) {
+    const double ieq = io.ids[k] - io.d_vg[k] * io.vg[k] -
+                       io.d_vd[k] * io.vd[k] - io.d_vs[k] * io.vs[k] -
+                       io.d_vb[k] * io.vb[k];
+    if (rd != nullptr) rd[k] -= ieq;
+    if (rs != nullptr) rs[k] += ieq;
+  }
+}
+
+void companion_rhs_avx2(const CompanionRows* comps, std::size_t count,
+                        const double* g, const double* v, const double* i,
+                        bool trap, double* b, std::size_t w) {
+  const std::size_t wv = w & ~std::size_t{3};
+  for (std::size_t c = 0; c < count; ++c) {
+    const CompanionRows& cr = comps[c];
+    if (cr.open) continue;
+    const double* gc = g + c * w;
+    const double* vc = v + c * w;
+    const double* ic = i + c * w;
+    double* ra = cr.ba < 0 ? nullptr : b + cr.ba * w;
+    double* rb = cr.bb < 0 ? nullptr : b + cr.bb * w;
+    std::size_t k = 0;
+    for (; k < wv; k += 4) {
+      __m256d j =
+          _mm256_mul_pd(_mm256_loadu_pd(gc + k), _mm256_loadu_pd(vc + k));
+      if (trap) j = _mm256_add_pd(j, _mm256_loadu_pd(ic + k));
+      if (rb != nullptr) {
+        _mm256_storeu_pd(rb + k, _mm256_sub_pd(_mm256_loadu_pd(rb + k), j));
+      }
+      if (ra != nullptr) {
+        _mm256_storeu_pd(ra + k, _mm256_add_pd(_mm256_loadu_pd(ra + k), j));
+      }
+    }
+    for (; k < w; ++k) {
+      double j = gc[k] * vc[k];
+      if (trap) j += ic[k];
+      if (rb != nullptr) rb[k] -= j;
+      if (ra != nullptr) ra[k] += j;
+    }
+  }
+}
+
+void companion_latch_avx2(const CompanionRows* comps, std::size_t count,
+                          const double* g, double* v, double* i, bool trap,
+                          const double* x, std::size_t w) {
+  const std::size_t wv = w & ~std::size_t{3};
+  for (std::size_t c = 0; c < count; ++c) {
+    const CompanionRows& cr = comps[c];
+    const double* xa = x + static_cast<std::size_t>(cr.xa) * w;
+    const double* xb = x + static_cast<std::size_t>(cr.xb) * w;
+    const double* gc = g + c * w;
+    double* vc = v + c * w;
+    double* ic = i + c * w;
+    std::size_t k = 0;
+    for (; k < wv; k += 4) {
+      const __m256d v_new =
+          _mm256_sub_pd(_mm256_loadu_pd(xa + k), _mm256_loadu_pd(xb + k));
+      __m256d i_new = _mm256_setzero_pd();
+      if (!cr.open) {
+        i_new = _mm256_mul_pd(_mm256_loadu_pd(gc + k),
+                              _mm256_sub_pd(v_new, _mm256_loadu_pd(vc + k)));
+        if (trap) i_new = _mm256_sub_pd(i_new, _mm256_loadu_pd(ic + k));
+      }
+      _mm256_storeu_pd(vc + k, v_new);
+      _mm256_storeu_pd(ic + k, i_new);
+    }
+    for (; k < w; ++k) {
+      const double v_new = xa[k] - xb[k];
+      double i_new = 0.0;
+      if (!cr.open) {
+        i_new = gc[k] * (v_new - vc[k]);
+        if (trap) i_new -= ic[k];
+      }
+      vc[k] = v_new;
+      ic[k] = i_new;
+    }
+  }
+}
+
+void newton_update_avx2(const NewtonLanes& io, std::size_t w) {
+  for_blocks(w, [&]<int G>(std::size_t k0, std::size_t n) {
+    const Block<G> blk(k0, n);
+    const __m256d zero = _mm256_setzero_pd();
+    __m256d max_dv[G], max_x[G];
+    for (int g = 0; g < G; ++g) max_dv[g] = max_x[g] = zero;
+    for (std::size_t r = 0; r < io.nv; ++r) {
+      const double* xn =
+          io.x_new + static_cast<std::size_t>(io.x_new_row[r]) * w;
+      const double* x = io.x + r * w;
+      for (int g = 0; g < G; ++g) {
+        const __m256d xv = blk.load(x, g);
+        // MAXPD returns its second operand unless the first is greater:
+        // `if (dv > max_dv) max_dv = dv` and std::max(max_x, |x|), NaN
+        // operands never taken.
+        max_dv[g] = _mm256_max_pd(abs_pd(_mm256_sub_pd(blk.load(xn, g), xv)),
+                                  max_dv[g]);
+        max_x[g] = _mm256_max_pd(abs_pd(xv), max_x[g]);
+      }
+    }
+    const __m256d limit = _mm256_set1_pd(io.max_delta_v);
+    __m256d scale[G], take[G];
+    for (int g = 0; g < G; ++g) {
+      scale[g] = _mm256_blendv_pd(_mm256_set1_pd(1.0),
+                                  _mm256_div_pd(limit, max_dv[g]),
+                                  _mm256_cmp_pd(max_dv[g], limit, _CMP_GT_OQ));
+      blk.store(io.max_dv, g, max_dv[g]);
+      blk.store(io.max_x, g, max_x[g]);
+      blk.store(io.scale, g, scale[g]);
+      long long t[4];
+      for (int j = 0; j < 4; ++j) {
+        const std::size_t lane = static_cast<std::size_t>(4 * g + j);
+        t[j] = lane < n && io.step[k0 + lane] != 0 ? -1 : 0;
+      }
+      take[g] = _mm256_castsi256_pd(_mm256_setr_epi64x(t[0], t[1], t[2], t[3]));
+    }
+    for (std::size_t r = 0; r < io.n; ++r) {
+      const double* xn =
+          io.x_new + static_cast<std::size_t>(io.x_new_row[r]) * w;
+      double* x = io.x + r * w;
+      for (int g = 0; g < G; ++g) {
+        const __m256d xv = blk.load(x, g);
+        const __m256d next = _mm256_add_pd(
+            xv, _mm256_mul_pd(scale[g], _mm256_sub_pd(blk.load(xn, g), xv)));
+        blk.store(x, g, _mm256_blendv_pd(xv, next, take[g]));
+      }
+    }
+  });
 }
 
 void copy_avx2(double* dst, const double* src, std::size_t count) {
@@ -464,9 +665,17 @@ void diag_add_avx2(double* values, const std::uint32_t* slots,
   }
 }
 
-constexpr Kernels kAvx2 = {"avx2",     ekv_avx2,          refactor_avx2,
-                           solve_avx2, pivot_health_avx2, copy_avx2,
-                           diag_add_avx2};
+constexpr Kernels kAvx2 = {"avx2",
+                           ekv_avx2,
+                           refactor_avx2,
+                           solve_avx2,
+                           pivot_health_avx2,
+                           copy_avx2,
+                           diag_add_avx2,
+                           mos_stamp_avx2,
+                           companion_rhs_avx2,
+                           companion_latch_avx2,
+                           newton_update_avx2};
 
 }  // namespace
 

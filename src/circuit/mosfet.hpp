@@ -126,12 +126,13 @@ class Mosfet : public Device {
     stamp_static_into(ctx, a_mat, b_vec);
   }
   /// The stamp bodies, templated over the matrix sink: MnaView on the
-  /// scalar path, SlotCursor in the batch engine's lane loops. One body per
-  /// stamp means one add order per slot on both paths. stamp_eval_into()
-  /// stamps the companion of an evaluation `e` taken at terminal voltages
-  /// (vg, vd, vs, vb) — stamp() passes mos_eval_with() at the iterate, the
-  /// batch engine one lane of kernels::ekv; it is defined below so both
-  /// inline it. stamp_static_into() is instantiated in mosfet.cpp for
+  /// scalar path, SlotCursor in the batch engine's static-image stamp. One
+  /// body per stamp means one add order per slot on both paths.
+  /// stamp_eval_into() stamps the companion of an evaluation `e` taken at
+  /// terminal voltages (vg, vd, vs, vb) — stamp() passes mos_eval_with() at
+  /// the iterate; kernels::mos_stamp repeats its operations across the
+  /// lanes of a kernels::ekv result, and its test holds it to this body.
+  /// stamp_static_into() is instantiated in mosfet.cpp for
   /// MnaView, SlotCursor and DiscardMatrix (the sparse engine's
   /// right-hand-side-only restamp).
   template <class Sink>

@@ -64,6 +64,16 @@ class StaticImageCache {
   /// least recently used one. The caller stamps it before the next find().
   double* insert(const StaticImageKey& key);
 
+  /// Rewrites every stored image in place through fn(image) and sets the
+  /// size of the images stamped from now on, at most the current one: for
+  /// an owner whose image layout shrinks (the batch engine repacking its
+  /// SoA images to fewer lanes). Keys, recency and counts are kept.
+  template <class Fn>
+  void repack(std::size_t image_size, Fn&& fn) {
+    for (std::size_t i = 0; i < used_; ++i) fn(entries_[i].image.data());
+    image_size_ = image_size;
+  }
+
   std::size_t size() const { return used_; }
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }

@@ -6,7 +6,9 @@
 // every backend exactly as the per-lane replica of SparseLu::refactor()'s
 // check below decides — without contaminating its neighbors. The MOSFET
 // lane kernel (ekv) must reproduce mos_eval() to the last bit on every
-// backend, across the EKV tails and at non-finite terminal voltages.
+// backend, across the EKV tails and at non-finite terminal voltages, and
+// the lane-major assembly and Newton-update kernels the scalar path's
+// per-lane stamp bodies and update loop.
 #include "circuit/kernels.hpp"
 
 #include <gtest/gtest.h>
@@ -18,6 +20,7 @@
 #include <limits>
 #include <vector>
 
+#include "circuit/device.hpp"
 #include "circuit/mosfet.hpp"
 #include "circuit/sparse.hpp"
 #include "tech/tech.hpp"
@@ -543,6 +546,234 @@ TEST_F(BatchKernelT, EkvLaneKernelMatchesScalarModel) {
     }
   }
   EXPECT_EQ(differing, 0u);
+}
+
+// Random lane data with the values a lockstep column can hold past a
+// divergence sprinkled in: NaN, +-inf, -0.0.
+std::vector<double> lane_data(std::size_t count, Rng& rng) {
+  std::vector<double> v(count);
+  const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(), -0.0};
+  for (double& x : v) {
+    x = rng.bernoulli(0.03) ? specials[rng.uniform_index(4)]
+                            : rng.uniform(-2.0, 2.0);
+  }
+  return v;
+}
+
+void expect_same(const std::vector<double>& got,
+                 const std::vector<double>& want, const char* what,
+                 std::size_t width) {
+  std::size_t differing = 0;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    differing += same_result(got[i], want[i]) ? 0 : 1;
+  }
+  EXPECT_EQ(differing, 0u) << what << " at width " << width;
+}
+
+// The batch engine's plan for one MOSFET (batch.cpp's join): the matrix
+// adds of Mosfet::stamp_eval_into in its order, slots numbered as the adds
+// come, right-hand-side rows = unknown indices.
+kernels::MosStampPlan plan_of(NodeId d, NodeId g, NodeId s, NodeId b) {
+  kernels::MosStampPlan plan;
+  const NodeId cols[4] = {g, d, s, b};
+  for (std::uint8_t j = 0; j < 4; ++j) {
+    if (cols[j] == kGround) continue;
+    for (const bool drain_row : {true, false}) {
+      if ((drain_row ? d : s) == kGround) continue;
+      plan.slot[plan.n_adds] = plan.n_adds;
+      plan.deriv[plan.n_adds] = j;
+      plan.negate[plan.n_adds] = !drain_row;
+      ++plan.n_adds;
+    }
+  }
+  const auto row = [](NodeId n) -> std::int64_t {
+    return n == kGround ? -1 : static_cast<std::int64_t>(unknown_of(n));
+  };
+  plan.rhs_d = row(d);
+  plan.rhs_s = row(s);
+  return plan;
+}
+
+TEST_F(BatchKernelT, LaneMajorAssemblyKernelsMatchScalarPath) {
+  // mos_stamp, companion_rhs and companion_latch on every backend, at
+  // widths 1-17 (vector remainders and masks), against the scalar path's
+  // own per-lane code: Mosfet::stamp_eval_into through a SlotCursor, and
+  // CapCompanion's stamp_state / latch / latch_open.
+  std::vector<const kernels::Kernels*> backends = {&kernels::scalar()};
+  if (kernels::vector_available()) backends.push_back(kernels::avx2_kernels());
+  const MosParams mp = tech::tech018().nmos(1e-6, 0.18e-6);
+  Rng rng(1717);
+  constexpr std::size_t kRows = 4;  // unknowns: nodes 1..4
+  for (std::size_t w = 1; w <= 17; ++w) {
+    // --- MOSFET channel companion, terminals on and off ground.
+    const NodeId terms[][4] = {
+        {1, 2, 3, 4}, {1, 2, kGround, kGround}, {kGround, 2, 3, 1},
+        {2, 2, 1, 3}, {1, kGround, 2, kGround}};
+    for (const auto& t : terms) {
+      const Mosfet m("M", t[0], t[1], t[2], t[3], mp);
+      const kernels::MosStampPlan plan = plan_of(t[0], t[1], t[2], t[3]);
+      // Iterate rows, row 0 the zero row for ground (node id = row).
+      std::vector<double> xs = lane_data((kRows + 1) * w, rng);
+      std::fill_n(xs.begin(), w, 0.0);
+      std::vector<double> out = lane_data(5 * w, rng);  // ekv's outputs
+      const std::vector<double> a0 = lane_data(8 * w, rng);
+      const std::vector<double> b0 = lane_data(kRows * w, rng);
+      const auto row = [&](NodeId n) {
+        return xs.data() + static_cast<std::size_t>(n) * w;
+      };
+      const kernels::MosLanes io = {
+          row(m.gate()),   row(m.drain()),     row(m.source()),
+          row(m.bulk()),   out.data(),         out.data() + w,
+          out.data() + 2 * w, out.data() + 3 * w, out.data() + 4 * w};
+      // The oracle: the scalar stamp body, one lane at a time.
+      std::vector<double> a_ref = a0, b_ref = b0;
+      std::uint32_t slots_w[8];
+      for (std::uint32_t j = 0; j < 8; ++j) {
+        slots_w[j] = static_cast<std::uint32_t>(j * w);
+      }
+      for (std::size_t k = 0; k < w; ++k) {
+        std::vector<double> b_lane(kRows);
+        for (std::size_t r = 0; r < kRows; ++r) b_lane[r] = b_ref[r * w + k];
+        SlotCursor cur{slots_w, a_ref.data() + k};
+        const MosEval e{io.ids[k], io.d_vg[k], io.d_vd[k], io.d_vs[k],
+                        io.d_vb[k]};
+        m.stamp_eval_into(e, io.vg[k], io.vd[k], io.vs[k], io.vb[k], cur,
+                          b_lane);
+        for (std::size_t r = 0; r < kRows; ++r) b_ref[r * w + k] = b_lane[r];
+      }
+      for (const kernels::Kernels* kk : backends) {
+        SCOPED_TRACE(kk->name);
+        std::vector<double> a = a0, b = b0;
+        kk->mos_stamp(plan, io, a.data(), b.data(), w);
+        expect_same(a, a_ref, "mos_stamp matrix", w);
+        expect_same(b, b_ref, "mos_stamp rhs", w);
+      }
+    }
+
+    // --- Capacitor companions: grounded either side, one open (c == 0),
+    // under both integrators.
+    const std::vector<kernels::CompanionRows> comps = {
+        {1, 2, 0, 1, false}, {3, 0, 2, -1, false}, {0, 4, -1, 3, false},
+        {2, 1, 1, 0, true},  {4, 3, 3, 2, false}};
+    const std::size_t nk = comps.size();
+    std::vector<double> xs = lane_data((kRows + 1) * w, rng);
+    std::fill_n(xs.begin(), w, 0.0);
+    const std::vector<double> g = lane_data(nk * w, rng);
+    const std::vector<double> v0 = lane_data(nk * w, rng);
+    const std::vector<double> i0 = lane_data(nk * w, rng);
+    const std::vector<double> b0 = lane_data(kRows * w, rng);
+    for (const bool trap : {false, true}) {
+      const Integrator method =
+          trap ? Integrator::kTrapezoidal : Integrator::kBackwardEuler;
+      std::vector<double> b_ref = b0, v_ref = v0, i_ref = i0;
+      for (std::size_t k = 0; k < w; ++k) {
+        std::vector<double> b_lane(kRows);
+        for (std::size_t r = 0; r < kRows; ++r) b_lane[r] = b_ref[r * w + k];
+        for (std::size_t c = 0; c < nk; ++c) {
+          const kernels::CompanionRows& cr = comps[c];
+          const double v_new = xs[cr.xa * w + k] - xs[cr.xb * w + k];
+          double& vk = v_ref[c * w + k];
+          double& ik = i_ref[c * w + k];
+          if (!cr.open) {
+            DiscardMatrix none;
+            CapCompanion::stamp_state(g[c * w + k], v0[c * w + k],
+                                      i0[c * w + k], method,
+                                      static_cast<NodeId>(cr.xa),
+                                      static_cast<NodeId>(cr.xb), none,
+                                      b_lane);
+            CapCompanion::latch(g[c * w + k], method, v_new, vk, ik);
+          } else {
+            CapCompanion::latch_open(v_new, vk, ik);
+          }
+        }
+        for (std::size_t r = 0; r < kRows; ++r) b_ref[r * w + k] = b_lane[r];
+      }
+      for (const kernels::Kernels* kk : backends) {
+        SCOPED_TRACE(kk->name);
+        std::vector<double> b = b0, v = v0, i = i0;
+        kk->companion_rhs(comps.data(), nk, g.data(), v.data(), i.data(),
+                          trap, b.data(), w);
+        expect_same(b, b_ref, "companion_rhs", w);
+        kk->companion_latch(comps.data(), nk, g.data(), v.data(), i.data(),
+                            trap, xs.data(), w);
+        expect_same(v, v_ref, "companion_latch v", w);
+        expect_same(i, i_ref, "companion_latch i", w);
+      }
+    }
+  }
+}
+
+TEST_F(BatchKernelT, NewtonUpdateKernelMatchesNewtonSolveImpl) {
+  // newton_update on every backend, at widths 1-17, against the literal
+  // update loop of newton_solve_impl run on each lane's own vectors: NaN
+  // and infinite solutions, damped and undamped lanes, lanes that take no
+  // update.
+  std::vector<const kernels::Kernels*> backends = {&kernels::scalar()};
+  if (kernels::vector_available()) backends.push_back(kernels::avx2_kernels());
+  Rng rng(2323);
+  constexpr std::size_t kN = 9, kNv = 6;
+  constexpr double kMaxDeltaV = 0.5;
+  const std::uint32_t rows[kN] = {4, 0, 7, 2, 8, 1, 5, 3, 6};
+  for (std::size_t w = 1; w <= 17; ++w) {
+    const std::vector<double> x0 = lane_data(kN * w, rng);
+    std::vector<double> xn = lane_data(kN * w, rng);
+    // Some lanes move by less than the damping limit.
+    for (std::size_t k = 0; k < w; k += 3) {
+      for (std::size_t r = 0; r < kN; ++r) {
+        xn[rows[r] * w + k] = x0[r * w + k] + rng.uniform(-0.1, 0.1);
+      }
+    }
+    std::vector<std::uint8_t> step(w);
+    for (std::size_t k = 0; k < w; ++k) step[k] = rng.bernoulli(0.8) ? 1 : 0;
+
+    std::vector<double> x_ref = x0, dv_ref(w), mx_ref(w), sc_ref(w);
+    for (std::size_t k = 0; k < w; ++k) {
+      std::vector<double> x(kN), x_new(kN);
+      for (std::size_t r = 0; r < kN; ++r) {
+        x[r] = x0[r * w + k];
+        x_new[r] = xn[rows[r] * w + k];
+      }
+      // newton.cpp, verbatim over one lane.
+      double max_dv = 0.0;
+      for (std::size_t i = 0; i < kNv; ++i) {
+        const double dv = std::abs(x_new[i] - x[i]);
+        if (dv > max_dv) max_dv = dv;
+      }
+      double scale = 1.0;
+      if (max_dv > kMaxDeltaV) scale = kMaxDeltaV / max_dv;
+      double max_x = 0.0;
+      for (std::size_t i = 0; i < kNv; ++i) {
+        max_x = std::max(max_x, std::abs(x[i]));
+      }
+      for (std::size_t i = 0; i < kN; ++i) x[i] += scale * (x_new[i] - x[i]);
+      dv_ref[k] = max_dv;
+      mx_ref[k] = max_x;
+      sc_ref[k] = scale;
+      if (step[k] == 0) continue;
+      for (std::size_t r = 0; r < kN; ++r) x_ref[r * w + k] = x[r];
+    }
+    for (const kernels::Kernels* kk : backends) {
+      SCOPED_TRACE(kk->name);
+      std::vector<double> x = x0, dv(w), mx(w), sc(w);
+      kk->newton_update({.x = x.data(),
+                         .x_new = xn.data(),
+                         .x_new_row = rows,
+                         .nv = kNv,
+                         .n = kN,
+                         .step = step.data(),
+                         .max_delta_v = kMaxDeltaV,
+                         .max_dv = dv.data(),
+                         .max_x = mx.data(),
+                         .scale = sc.data()},
+                        w);
+      expect_same(x, x_ref, "x", w);
+      expect_same(dv, dv_ref, "max_dv", w);
+      expect_same(mx, mx_ref, "max_x", w);
+      expect_same(sc, sc_ref, "scale", w);
+    }
+  }
 }
 
 TEST_F(BatchKernelT, IsaReportAndPreferredWidthAreSane) {

@@ -10,7 +10,8 @@
 // parameters (one lane-kernel call for all) with a lane that does not.
 // Two more drive the engine's point-invariant caches: SoA static matrix
 // images across hits, misses and evictions, and the SoA companion history
-// handed back to finished and retired lanes.
+// handed back to finished and retired lanes; and one compacts the lanes
+// between advances while they finish at staggered levels.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -715,6 +716,139 @@ TEST_F(BatchEngineT, FinishedAndRetiredLanesHoldTheScalarCheckpointHistory) {
     EXPECT_EQ(state_bits(*ckts[k]), state_bits(ck));
     const auto x = eng.x(k);
     EXPECT_EQ(std::vector<double>(x.begin(), x.end()), ck.x);
+  }
+}
+
+TEST_F(BatchEngineT, CompactedLanesMatchScalarTransientSampleBySample) {
+  // Lanes finish at staggered advance() levels and one middle lane retires
+  // mid-advance, so every later advance() repacks the active lanes into
+  // fewer columns (9 -> 7 -> 5 -> 3, never a multiple of 4), the cached
+  // static images with them. Each lane must stay sample for sample
+  // bit-identical to the chain of scalar transient segments it stepped
+  // through, with the same stats and, once finished or retired, the
+  // companion history of the scalar checkpoint; the images stamped before
+  // a repack must keep serving hits after it.
+  constexpr std::size_t kLanes = 9, kRetired = 4;
+  const double kStops[] = {0.7e-9, 1.25e-9, 1.7e-9, 2.1e-9};
+  // The advance() after which each lane is finished (kRetired: none).
+  const std::size_t finish_after[kLanes] = {0, 2, 1, 3, 9, 3, 2, 0, 3};
+  constexpr double kRetireAfter = 1.0e-9;  // inside the second advance()
+  const std::vector<std::string> nodes = {"vdd", "in", "out", "mid", "mid2"};
+  using Samples = std::vector<std::pair<double, std::vector<double>>>;
+  for (const bool force_scalar : {false, true}) {
+    SCOPED_TRACE(force_scalar ? "forced-scalar kernels" : "dispatched");
+    circuit::kernels::set_force_scalar(force_scalar);
+    circuit::ProgramCache cache;
+    circuit::TranParams tp;
+    tp.dt = 20e-12;
+    tp.uic = true;
+    tp.grow_until = 0.5e-9;
+    tp.grow_cap = 4.0;
+    tp.newton.solver.program_cache = &cache;
+    auto cap_of = [](std::size_t k) { return 3e-15 * (1.0 + 0.1 * k); };
+    std::vector<std::unique_ptr<circuit::Circuit>> ckts;
+    std::vector<circuit::Circuit*> lanes;
+    for (std::size_t k = 0; k < kLanes; ++k) {
+      ckts.push_back(std::make_unique<circuit::Circuit>());
+      build_every_device(*ckts.back(), static_cast<int>(k), cap_of(k));
+      lanes.push_back(ckts.back().get());
+    }
+    circuit::BatchEngine::Options bo;
+    bo.step = tp.schedule();
+    bo.newton = tp.newton;
+    circuit::BatchEngine eng(lanes, bo);
+
+    // got[lane][segment]: the lane's samples in that advance().
+    std::vector<std::vector<Samples>> got(kLanes);
+    double t_retired = -1.0;
+    std::size_t segment = 0;
+    const auto record = [&](std::size_t lane, double t,
+                            std::span<const double> x) {
+      got[lane].resize(segment + 1);
+      got[lane][segment].emplace_back(t, std::vector<double>(x.begin(),
+                                                             x.end()));
+      if (lane == kRetired && segment == 1 && t_retired < 0.0 &&
+          t > kRetireAfter) {
+        eng.retire(lane, "retired mid-advance");
+        t_retired = t;
+      }
+    };
+    std::uint64_t hits_before_repack = 0;
+    std::vector<double> finished_at(kLanes, -1.0);
+    for (segment = 0; segment < std::size(kStops); ++segment) {
+      if (segment == 1) hits_before_repack = eng.static_images().hits();
+      eng.advance(kStops[segment], record);
+      for (std::size_t k = 0; k < kLanes; ++k) {
+        if (finish_after[k] != segment) continue;
+        ASSERT_EQ(eng.state(k), circuit::BatchEngine::LaneState::kActive)
+            << "lane " << k << ": " << eng.retire_reason(k);
+        eng.finish(k);
+        finished_at[k] = eng.time();
+      }
+    }
+    ASSERT_GT(t_retired, 0.0);
+    EXPECT_EQ(eng.state(kRetired), circuit::BatchEngine::LaneState::kRetired);
+    // The repacked images kept serving the base step's key.
+    EXPECT_GT(eng.static_images().hits(), hits_before_repack);
+    EXPECT_LE(eng.static_images().size(),
+              circuit::StaticImageCache::kCapacity);
+
+    for (std::size_t k = 0; k < kLanes; ++k) {
+      SCOPED_TRACE("lane " + std::to_string(k));
+      circuit::Circuit fresh;
+      build_every_device(fresh, static_cast<int>(k), cap_of(k));
+      const std::size_t last = k == kRetired ? 1 : finish_after[k];
+      ASSERT_EQ(got[k].size(), last + 1);
+      circuit::SolverCheckpoint ck;
+      std::size_t accepted = 0, iterations = 0;
+      for (std::size_t seg = 0; seg <= last; ++seg) {
+        SCOPED_TRACE("segment " + std::to_string(seg));
+        circuit::TranParams p = tp;
+        p.t_stop = kStops[seg];
+        p.checkpoint_at = k == kRetired && seg == last ? t_retired
+                                                       : kStops[seg];
+        const circuit::TranResult ref =
+            seg == 0 ? circuit::transient(fresh, p,
+                                          {.nodes = nodes,
+                                           .device_currents = {}})
+                     : circuit::transient_resume(fresh, ck, p,
+                                                 {.nodes = nodes,
+                                                  .device_currents = {}});
+        ck = ref.checkpoint;
+        ASSERT_TRUE(ck.valid());
+        const Samples& mine = got[k][seg];
+        if (k == kRetired && seg == last) {
+          // Its samples stop at the one it retired on.
+          ASSERT_LT(mine.size(), ref.trace.sample_count());
+          EXPECT_EQ(mine.back().first, t_retired);
+        } else {
+          ASSERT_EQ(mine.size(), ref.trace.sample_count());
+          accepted += ref.stats.accepted_steps;
+          iterations += ref.stats.newton_iterations;
+        }
+        for (std::size_t i = 0; i < mine.size(); ++i) {
+          ASSERT_EQ(mine[i].first, ref.trace.times()[i]) << "sample " << i;
+          for (std::size_t c = 0; c < nodes.size(); ++c) {
+            const auto id =
+                static_cast<std::size_t>(fresh.find_node(nodes[c]));
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(mine[i].second[id - 1]),
+                      std::bit_cast<std::uint64_t>(ref.trace.channel(c)[i]))
+                << "sample " << i << " node " << nodes[c];
+          }
+        }
+      }
+      // The lane's last state and the history its devices got back are
+      // those of the scalar checkpoint where it left the batch.
+      EXPECT_EQ(ck.time, k == kRetired ? t_retired : finished_at[k]);
+      const auto x = eng.x(k);
+      EXPECT_EQ(std::vector<double>(x.begin(), x.end()), ck.x);
+      EXPECT_EQ(state_bits(*ckts[k]), state_bits(ck));
+      if (k != kRetired) {
+        EXPECT_EQ(eng.stats(k).accepted_steps, accepted);
+        EXPECT_EQ(eng.stats(k).newton_iterations, iterations);
+        EXPECT_EQ(eng.stats(k).segments, last + 1);
+      }
+    }
   }
 }
 
